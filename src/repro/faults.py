@@ -410,7 +410,8 @@ class FaultPlan:
         node schedules.
 
     All window schedules (including zone-level and per-node metadata
-    ones) are materialized at construction; only the per-request
+    ones), and the sharded tier's overload signal derived from them, are
+    materialized at construction; only the per-request
     transient-error and pressure-shed draws consume RNG state at query
     time (in the deterministic order the single-threaded simulator
     issues requests).
@@ -432,6 +433,9 @@ class FaultPlan:
         if n_metadata_replicas < 0:
             raise ValueError("n_metadata_replicas must be >= 0")
         self.config = config
+        # The config is frozen, so whether it can fault is fixed for the
+        # plan's lifetime; the service layers read it on every request.
+        self._enabled = config.enabled
         self.n_frontends = n_frontends
         self.seed = seed
         self.n_metadata_shards = n_metadata_shards
@@ -557,6 +561,15 @@ class FaultPlan:
             self._pressure_rngs = [
                 np.random.default_rng(s) for s in pressure_seqs
             ]
+        # ------------------------------------------------------------------
+        # Sharded-tier overload signal, precomputed (see overload_level).
+        # ------------------------------------------------------------------
+        self._overload_edges: tuple[float, ...] = ()
+        self._overload_values: tuple[float, ...] = (0.0,)
+        if zones is not None and zones.overload_factor > 0 and self.metatier_armed:
+            self._overload_edges, self._overload_values = (
+                self._sharded_overload_steps(zones.overload_factor)
+            )
 
     # ------------------------------------------------------------------
     # Queries (all deterministic; windows never consume RNG state)
@@ -564,7 +577,7 @@ class FaultPlan:
 
     @property
     def enabled(self) -> bool:
-        return self.config.enabled
+        return self._enabled
 
     @property
     def correlated(self) -> bool:
@@ -697,13 +710,9 @@ class FaultPlan:
             # condition: phantom retry load scales with the fraction of
             # shard primaries currently down (a shard whose primary is up
             # answers its users; its replicas' health does not drive
-            # data-path retries).  Still pure window arithmetic.
-            down = sum(
-                1
-                for shard in range(self.n_metadata_shards)
-                if self.metadata_node_down(shard, 0, t)
-            )
-            return zones.overload_factor * (down / self.n_metadata_shards)
+            # data-path retries).  The step function is precomputed at
+            # construction (:meth:`_sharded_overload_steps`).
+            return self._overload_values[bisect.bisect_right(self._overload_edges, t)]
         if _in_windows(self._metadata_windows, self._metadata_starts, t) is not None:
             return zones.overload_factor
         index = bisect.bisect_right(self._metadata_starts, t) - 1
@@ -714,6 +723,40 @@ class FaultPlan:
                     1.0 - (t - end) / zones.overload_recovery
                 )
         return 0.0
+
+    def _sharded_overload_steps(
+        self, overload_factor: float
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The sharded-tier overload signal as a right-continuous step function.
+
+        The down-primary count only changes where a primary's own outage
+        window, or the crash window of the zone it sits in, opens or
+        closes.  All windows are half-open, so the count is constant on
+        each ``[edges[i], edges[i + 1])`` and equals its value at the
+        left edge.  Returns ``(edges, values)`` with ``values[0]`` the
+        level before the first edge and ``values[i + 1]`` the level on
+        ``[edges[i], edges[i + 1])``, so ``values[bisect_right(edges,
+        t)]`` is the level at ``t``.
+        """
+        n_shards = self.n_metadata_shards
+        edges: set[float] = set()
+        for shard in range(n_shards):
+            windows = list(self._metatier_windows[shard][0])
+            zone = self.metadata_node_zone(shard, 0)
+            if zone is not None:
+                windows.extend(self._zone_windows[zone])
+            for window in windows:
+                edges.update((window.start, window.end))
+        ordered = tuple(sorted(edges))
+        values = [overload_factor * (0 / n_shards)]
+        for edge in ordered:
+            down = sum(
+                1
+                for shard in range(n_shards)
+                if self.metadata_node_down(shard, 0, edge)
+            )
+            values.append(overload_factor * (down / n_shards))
+        return ordered, tuple(values)
 
     # -- retry-storm pressure -------------------------------------------
 
@@ -964,7 +1007,7 @@ class RequestOutcome:
 
     @property
     def ok(self) -> bool:
-        return self.result.is_ok
+        return self.result is ResultCode.OK
 
     @property
     def retryable(self) -> bool:

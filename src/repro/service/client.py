@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..faults import FaultPlan, MetadataUnavailableError, RequestOutcome, RetryP
 from ..logs.schema import DeviceType, Direction
 from ..tcpsim.devices import DeviceProfile, profile_for
 from ..tcpsim.rto import paper_rto_estimate
-from .chunks import FileManifest, build_manifest
+from .chunks import build_manifest, chunk_sizes
 from .frontend import FrontendServer
 from .metadata import MetadataServer
 
@@ -198,7 +198,7 @@ class StorageClient:
                 Direction.STORE, "", size, manifest.n_chunks, started, tally
             )
         if not self._transfer_chunks(
-            decision.frontend_id, manifest, Direction.STORE, tally
+            decision.frontend_id, manifest.chunk_sizes, Direction.STORE, tally
         ):
             return self._aborted(
                 Direction.STORE, "", size, manifest.n_chunks, started, tally
@@ -230,17 +230,18 @@ class StorageClient:
         if resolved is None:
             return self._aborted(Direction.RETRIEVE, url, 0, 0, started, tally)
         record, frontend_id = resolved
-        manifest = build_manifest(record.name, record.file_md5.encode(), record.size)
+        # A download needs only the chunk layout, not the content hashes.
+        sizes = chunk_sizes(record.size)
         if not self._file_op(frontend_id, Direction.RETRIEVE, tally):
             return self._aborted(
-                Direction.RETRIEVE, url, record.size, manifest.n_chunks,
+                Direction.RETRIEVE, url, record.size, len(sizes),
                 started, tally,
             )
         if not self._transfer_chunks(
-            frontend_id, manifest, Direction.RETRIEVE, tally
+            frontend_id, sizes, Direction.RETRIEVE, tally
         ):
             return self._aborted(
-                Direction.RETRIEVE, url, record.size, manifest.n_chunks,
+                Direction.RETRIEVE, url, record.size, len(sizes),
                 started, tally,
             )
         self._note_completed()
@@ -248,7 +249,7 @@ class StorageClient:
             direction=Direction.RETRIEVE,
             url=url,
             size=record.size,
-            n_chunks=manifest.n_chunks,
+            n_chunks=len(sizes),
             deduplicated=False,
             started_at=started,
             finished_at=self.clock,
@@ -425,14 +426,14 @@ class StorageClient:
     def _transfer_chunks(
         self,
         frontend_id: int,
-        manifest: FileManifest,
+        sizes: Sequence[int],
         direction: Direction,
         tally: _AttemptTally,
     ) -> bool:
         rto = paper_rto_estimate(self.network.rtt)
         tclt_dist = self._profile.tclt(direction is Direction.STORE)
         idle = 0.0
-        for i, size in enumerate(manifest.chunk_sizes):
+        for i, size in enumerate(sizes):
             restarted = i > 0 and idle > rto
             outcome = self._request(
                 frontend_id,

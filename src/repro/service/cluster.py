@@ -86,6 +86,8 @@ class ServiceCluster:
     metadata: MetadataServer | ShardedMetadataTier = field(init=False)
     frontends: list[FrontendServer] = field(init=False)
     fault_plan: FaultPlan | None = field(init=False, default=None)
+    #: ``fault_plan`` when it can fault, else ``None`` (resolved once).
+    _faults: FaultPlan | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.read_policy not in READ_POLICIES:
@@ -122,6 +124,8 @@ class ServiceCluster:
                 n_metadata_shards=self.metadata_shards,
                 n_metadata_replicas=self.metadata_replicas,
             )
+        plan = self.fault_plan
+        self._faults = plan if plan is not None and plan.enabled else None
         if sharded:
             self.metadata = ShardedMetadataTier(
                 n_frontends=self.n_frontends,
@@ -214,8 +218,8 @@ class ServiceCluster:
 
     def frontends_down(self, t: float) -> int:
         """Number of front-ends inside a crash window (residual or zone) at ``t``."""
-        plan = self.fault_plan
-        if plan is None or not plan.enabled:
+        plan = self._faults
+        if plan is None:
             return 0
         return sum(
             plan.frontend_down(fid, t) for fid in range(self.n_frontends)
@@ -229,8 +233,8 @@ class ServiceCluster:
         The autoscaling loop reads this per window as the concurrent-down
         pressure signal.
         """
-        plan = self.fault_plan
-        if plan is None or not plan.enabled:
+        plan = self._faults
+        if plan is None:
             return 0.0
         return plan.down_fraction(start, end, n_frontends=self.n_frontends)
 

@@ -20,6 +20,7 @@ extra RNG draws, no extra log fields beyond ``result=ok``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -114,6 +115,10 @@ class FrontendServer:
         the server sheds load (``None`` disables shedding).  In-flight is
         tracked as the set of started requests whose finish time lies
         beyond the current timestamp.
+
+    The plan is consulted only when it can fault: ``__post_init__``
+    resolves ``fault_plan`` once into the private ``_faults`` (``None``
+    for a missing or disabled plan), so assign the plan at construction.
     """
 
     server_id: int
@@ -127,7 +132,13 @@ class FrontendServer:
     bytes_served: int = 0
     requests_ok: int = 0
     requests_failed: int = 0
+    #: Min-heap of the finish times of tracked requests.
     _in_flight: list[float] = field(default_factory=list, repr=False)
+    _faults: FaultPlan | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        plan = self.fault_plan
+        self._faults = plan if plan is not None and plan.enabled else None
 
     def _emit(self, record: LogRecord) -> None:
         if self.log_sink is not None:
@@ -139,15 +150,12 @@ class FrontendServer:
     # Fault consultation
     # ------------------------------------------------------------------
 
-    @property
-    def _faults(self) -> FaultPlan | None:
-        plan = self.fault_plan
-        return plan if plan is not None and plan.enabled else None
-
     def in_flight(self, now: float) -> int:
         """Number of requests started but not yet finished at ``now``."""
-        self._in_flight = [t for t in self._in_flight if t > now]
-        return len(self._in_flight)
+        heap = self._in_flight
+        while heap and heap[0] <= now:
+            heapq.heappop(heap)
+        return len(heap)
 
     def _preflight(self, now: float, timeout: float | None) -> ResultCode | None:
         """Check crash windows and load shedding before doing any work.
@@ -221,11 +229,12 @@ class FrontendServer:
         return ResultCode.OK, nominal
 
     def _track(self, now: float, elapsed: float) -> None:
-        if self.capacity is not None and self._faults is not None:
-            self._in_flight.append(now + elapsed)
+        # Only reached with an enabled plan (from ``_finish``).
+        if self.capacity is not None:
+            heapq.heappush(self._in_flight, now + elapsed)
 
     def _count(self, result: ResultCode) -> None:
-        if result.is_ok:
+        if result is ResultCode.OK:
             self.requests_ok += 1
         else:
             self.requests_failed += 1
@@ -270,6 +279,7 @@ class FrontendServer:
         result, elapsed = self._finish(
             now=timestamp, nominal=tsrv, timeout=timeout
         )
+        ok = result is ResultCode.OK
         self._count(result)
         self._emit(
             LogRecord(
@@ -281,14 +291,14 @@ class FrontendServer:
                 direction=direction,
                 volume=0,
                 processing_time=elapsed,
-                server_time=elapsed if result.is_ok else 0.0,
+                server_time=elapsed if ok else 0.0,
                 rtt=rtt,
                 proxied=proxied,
                 result=result,
                 session_id=session_id,
             )
         )
-        if not result.is_ok:
+        if not ok:
             return RequestOutcome(result=result, elapsed=elapsed)
         return RequestOutcome(
             result=result, elapsed=elapsed, tchunk=elapsed, tsrv=elapsed
@@ -344,8 +354,9 @@ class FrontendServer:
         result, elapsed = self._finish(
             now=timestamp, nominal=tchunk, timeout=timeout
         )
+        ok = result is ResultCode.OK
         self._count(result)
-        if result.is_ok:
+        if ok:
             if direction is Direction.STORE:
                 self.bytes_stored += size
             else:
@@ -358,16 +369,16 @@ class FrontendServer:
                 user_id=user_id,
                 kind=RequestKind.CHUNK,
                 direction=direction,
-                volume=size if result.is_ok else 0,
+                volume=size if ok else 0,
                 processing_time=elapsed,
-                server_time=tsrv if result.is_ok else 0.0,
+                server_time=tsrv if ok else 0.0,
                 rtt=rtt,
                 proxied=proxied,
                 result=result,
                 session_id=session_id,
             )
         )
-        if not result.is_ok:
+        if not ok:
             return RequestOutcome(result=result, elapsed=elapsed)
         return RequestOutcome(
             result=result, elapsed=elapsed, tchunk=tchunk, tsrv=tsrv

@@ -64,6 +64,10 @@ class MetadataServer:
             raise ValueError("need at least one front-end server")
         self.n_frontends = n_frontends
         self.fault_plan = fault_plan
+        # Resolved once: only an enabled plan can reject a request.
+        self._faults = (
+            fault_plan if fault_plan is not None and fault_plan.enabled else None
+        )
         self._content: dict[str, int] = {}  # file_md5 -> hosting frontend
         self._by_url: dict[str, StoredFile] = {}
         self._spaces: dict[int, dict[str, StoredFile]] = {}
@@ -73,8 +77,8 @@ class MetadataServer:
         self.rejected_requests = 0
 
     def _check_available(self, now: float) -> None:
-        plan = self.fault_plan
-        if plan is not None and plan.enabled and plan.metadata_down(now):
+        plan = self._faults
+        if plan is not None and plan.metadata_down(now):
             self.rejected_requests += 1
             plan.stats.metadata_rejections += 1
             raise MetadataUnavailableError(

@@ -120,6 +120,13 @@ class ShardedMetadataTier:
         self.n_replicas = n_replicas
         self.read_policy = read_policy
         self.fault_plan = fault_plan
+        #: Whether availability checks run at all, resolved once: a plan
+        #: that is missing, disabled or unsharded never rejects.
+        self._faults_armed = (
+            fault_plan is not None
+            and fault_plan.enabled
+            and fault_plan.metatier_armed
+        )
         # One authoritative namespace state machine per shard; the tier
         # layers availability on top, so shard servers carry no plan.
         self._shards = [
@@ -143,10 +150,6 @@ class ShardedMetadataTier:
         """The shard owning ``user_id``'s namespace (stable placement)."""
         return shard_for(user_id, self.n_shards)
 
-    def _faults_armed(self) -> bool:
-        plan = self.fault_plan
-        return plan is not None and plan.enabled and plan.metatier_armed
-
     def _node_up(self, shard: int, node: int, now: float) -> bool:
         return not self.fault_plan.metadata_node_down(shard, node, now)
 
@@ -165,7 +168,7 @@ class ShardedMetadataTier:
 
     def _check_write(self, shard: int, user_id: int | None, now: float) -> None:
         """Writes are primary-first under every policy."""
-        if not self._faults_armed():
+        if not self._faults_armed:
             return
         if not self._node_up(shard, 0, now):
             self._reject(shard, user_id, now)
@@ -173,7 +176,7 @@ class ShardedMetadataTier:
     def _check_read(self, shard: int, user_id: int | None, now: float) -> None:
         """Apply the read policy; raises on rejection, else counts the
         replica-serving attribution for the read about to be served."""
-        if not self._faults_armed():
+        if not self._faults_armed:
             return
         plan = self.fault_plan
         n_nodes = 1 + self.n_replicas

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,16 +164,19 @@ class P2Quantile:
 class LatencySeries:
     """Latency samples of one operation type: streaming + optional exact.
 
-    The P² bank (one estimator per tracked quantile) is always fed; when
-    ``keep_samples`` is true (the default) the raw samples are retained
-    too, so snapshots report exact percentiles and the streaming
-    estimates remain available for the equivalence battery.  Streaming
-    mode (``keep_samples=False``) holds memory at O(1) per series for
-    paper-scale replays.
+    One P² estimator per tracked quantile.  When ``keep_samples`` is true
+    (the default) the raw samples are retained, snapshots report exact
+    percentiles, and the P² bank is fed lazily: :meth:`percentiles_streaming`
+    folds in the retained samples not yet seen, in arrival order.  P² is
+    a deterministic function of its input sequence, so the estimates are
+    bit-identical to feeding every sample on :meth:`add`, whenever they
+    are read.  Streaming mode (``keep_samples=False``) feeds the bank on
+    every add and holds memory at O(1) per series for paper-scale
+    replays.
     """
 
     __slots__ = ("label", "keep_samples", "count", "total", "_max",
-                 "_samples", "_streaming")
+                 "_samples", "_streaming", "_fed")
 
     def __init__(self, label: str, *, keep_samples: bool = True) -> None:
         self.label = label
@@ -183,6 +186,8 @@ class LatencySeries:
         self._max = 0.0
         self._samples: list[float] = []
         self._streaming = [P2Quantile(q) for q in TRACKED_QUANTILES]
+        #: How many retained samples the P² bank has seen.
+        self._fed = 0
 
     def add(self, latency: float) -> None:
         if latency < 0:
@@ -192,6 +197,7 @@ class LatencySeries:
         self._max = max(self._max, latency)
         if self.keep_samples:
             self._samples.append(latency)
+            return
         for estimator in self._streaming:
             estimator.add(latency)
 
@@ -205,6 +211,12 @@ class LatencySeries:
 
     def percentiles_streaming(self) -> dict[str, float]:
         """The P² estimates, keyed ``p50``/``p95``/``p99``/``p999``."""
+        pending = self._samples[self._fed:]
+        if pending:
+            for estimator in self._streaming:
+                for latency in pending:
+                    estimator.add(latency)
+            self._fed = len(self._samples)
         return {
             label: estimator.value
             for label, estimator in zip(QUANTILE_LABELS, self._streaming)
@@ -476,19 +488,23 @@ class TelemetryCollector:
 
     def observe_record(self, record: LogRecord) -> None:
         """Tally one access-log record into result and window counters."""
-        self._result_counts[record.result] += 1
-        self._horizon = max(self._horizon, record.timestamp)
-        index = int(record.timestamp // self.window_seconds)
-        window = self._windows.get(index)
+        result = record.result
+        timestamp = record.timestamp
+        self._result_counts[result] += 1
+        if timestamp > self._horizon:
+            self._horizon = timestamp
+        index = int(timestamp // self.window_seconds)
+        windows = self._windows
+        window = windows.get(index)
         if window is None:
-            window = self._windows[index] = _WindowCounters()
+            window = windows[index] = _WindowCounters()
         window.requests += 1
-        if record.result.is_ok:
+        if result is ResultCode.OK:
             window.ok += 1
         else:
             window.failed += 1
-        if record.result is ResultCode.SHED:
-            window.shed += 1
+            if result is ResultCode.SHED:
+                window.shed += 1
         window.bytes += record.volume
 
     def observe_log(self, records) -> None:

@@ -20,7 +20,7 @@ Receive windows follow Section 4.1: the *servers* advertise at most 64 KB
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,16 +34,15 @@ class Lognormal:
 
     median: float
     sigma: float
+    #: ``log(median)``, the location parameter; derived, computed once.
+    mu: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.median <= 0:
             raise ValueError("median must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
-
-    @property
-    def mu(self) -> float:
-        return math.log(self.median)
+        object.__setattr__(self, "mu", math.log(self.median))
 
     @property
     def mean(self) -> float:

@@ -1,5 +1,7 @@
 """Tests for device/server profiles and the lognormal helper."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
@@ -20,6 +22,12 @@ class TestLognormal:
         rng = np.random.default_rng(0)
         draws = dist.sample(rng, 50_000)
         assert float(np.median(draws)) == pytest.approx(0.2, rel=0.05)
+
+    def test_mu_is_log_median_and_not_compared(self):
+        dist = Lognormal(median=0.3, sigma=1.2)
+        assert dist.mu == math.log(0.3)
+        assert dist == Lognormal(median=0.3, sigma=1.2)
+        assert "mu" not in repr(dist)
 
     def test_mean_formula(self):
         dist = Lognormal(median=1.0, sigma=0.5)
