@@ -19,7 +19,6 @@ disk cache and asserts — via the generation-call counter — that a warm
 hit performs no trace generation at all.
 """
 
-import json
 import os
 import time
 
@@ -42,20 +41,7 @@ SPEEDUP_GATE = 3.0
 GATE_USERS = 20_000
 
 
-def _emit_json(update: dict) -> None:
-    path = os.environ.get("BENCH_COLUMNAR_JSON")
-    if not path:
-        return
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-    payload.update(update)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
-def test_columnar_analysis_speedup(tmp_path):
+def test_columnar_analysis_speedup(tmp_path, emit_json):
     trace_path = tmp_path / "bench.tsv"
     trace = generate_columnar_parallel(
         BENCH_USERS,
@@ -107,7 +93,8 @@ def test_columnar_analysis_speedup(tmp_path):
             f"{name:<10} {seconds:>8.2f} {n_records / seconds:>10,.0f} "
             f"{record_seconds / seconds:>7.2f}x"
         )
-    _emit_json(
+    emit_json(
+        "BENCH_COLUMNAR_JSON",
         {
             "users": BENCH_USERS + BENCH_PC_USERS,
             "records": n_records,
@@ -133,7 +120,7 @@ CACHE_USERS = 400
 CACHE_PC_USERS = 60
 
 
-def test_warm_cache_skips_generation(tmp_path):
+def test_warm_cache_skips_generation(tmp_path, emit_json):
     import repro.experiments.common as common
 
     common.prepared_trace.cache_clear()
@@ -169,7 +156,8 @@ def test_warm_cache_skips_generation(tmp_path):
         f"{len(cold.records):,} records: cold {cold_seconds:.2f}s, "
         f"warm {warm_seconds:.2f}s ({cold_seconds / warm_seconds:.1f}x)"
     )
-    _emit_json(
+    emit_json(
+        "BENCH_COLUMNAR_JSON",
         {
             "cache_cold_seconds": cold_seconds,
             "cache_warm_seconds": warm_seconds,

@@ -25,7 +25,6 @@ flagship; CI smoke uses ~50k).  ``BENCH_PAPER_JSON`` names a JSON output
 (uploaded by CI as ``BENCH_paper_scale.json``).
 """
 
-import json
 import os
 import resource
 import sys
@@ -65,19 +64,6 @@ RSS_SCRATCH_FACTOR = 8
 RSS_FLAT_ALLOWANCE_MB = 400
 
 
-def _emit_json(update: dict) -> None:
-    path = os.environ.get("BENCH_PAPER_JSON")
-    if not path:
-        return
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-    payload.update(update)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
 def _rss_mb() -> tuple[float, float]:
     """Current ``(anonymous, total)`` resident set size in MB.
 
@@ -105,7 +91,7 @@ def _rss_mb() -> tuple[float, float]:
         return mb, mb
 
 
-def test_paper_scale_streaming(tmp_path):
+def test_paper_scale_streaming(tmp_path, emit_json):
     total_users = BENCH_USERS + BENCH_PC_USERS
 
     start = time.perf_counter()
@@ -174,7 +160,8 @@ def test_paper_scale_streaming(tmp_path):
             f" {total:>9,.0f}"
         )
 
-    _emit_json(
+    emit_json(
+        "BENCH_PAPER_JSON",
         {
             "users": total_users,
             "records": n_records,

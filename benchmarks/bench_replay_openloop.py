@@ -14,7 +14,6 @@ CI replay-smoke job uploads it as ``BENCH_replay.json``).
 ``BENCH_REPLAY_USERS`` overrides the trace scale.
 """
 
-import json
 import os
 import time
 
@@ -31,19 +30,6 @@ BENCH_SPEEDUP = 2.0
 REPLAY_SEED = 3
 
 
-def _emit_json(update: dict) -> None:
-    path = os.environ.get("BENCH_REPLAY_JSON")
-    if not path:
-        return
-    payload = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            payload = json.load(fh)
-    payload.update(update)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-
-
 def _cluster(faults):
     return ServiceCluster(
         n_frontends=2,
@@ -54,7 +40,7 @@ def _cluster(faults):
     )
 
 
-def test_replay_throughput():
+def test_replay_throughput(emit_json):
     trace = synthetic_replay_trace(BENCH_USERS, BENCH_SEED)
     rows = []
     digests = {}
@@ -105,7 +91,8 @@ def test_replay_throughput():
     assert rows[1]["estimator"] == "exact"
     assert rows[2]["estimator"] == "p2"
 
-    _emit_json(
+    emit_json(
+        "BENCH_REPLAY_JSON",
         {
             "users": BENCH_USERS,
             "trace_ops": len(trace),

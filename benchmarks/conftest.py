@@ -8,7 +8,14 @@ qualitative shape (who wins, by roughly what factor).
 The synthetic trace behind the behaviour experiments is memoized per
 process, so the first benchmark pays generation and the rest time only the
 analysis.
+
+The throughput benchmarks record their measurements through the
+:func:`emit_json` fixture, so every ``BENCH_*.json`` file is written the
+same way.
 """
+
+import json
+import os
 
 import pytest
 
@@ -31,3 +38,28 @@ def experiment(benchmark):
         return run_experiment(benchmark, module)
 
     return runner
+
+
+def merge_json(env_var: str, update: dict) -> None:
+    """Merge ``update`` into the JSON file named by ``$env_var``.
+
+    A no-op when the variable is unset or empty.  Keys already in the
+    file survive unless ``update`` overwrites them, so several tests of
+    one benchmark can fill a single file.
+    """
+    path = os.environ.get(env_var)
+    if not path:
+        return
+    payload = {}
+    if os.path.exists(path):
+        with open(path) as fh:
+            payload = json.load(fh)
+    payload.update(update)
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+@pytest.fixture
+def emit_json():
+    """:func:`merge_json`, for benchmarks that emit a ``BENCH_*.json``."""
+    return merge_json

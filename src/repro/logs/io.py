@@ -54,6 +54,25 @@ _LEGACY_TSV_COLUMNS = len(TSV_COLUMNS) - 1
 
 _HEADER = "#" + "\t".join(TSV_COLUMNS)
 
+#: Enum value -> member: :func:`record_from_tsv` parses the enum columns
+#: by table lookup instead of calling the enum.
+_DEVICE_TYPES = {member.value: member for member in DeviceType}
+_KINDS = {member.value: member for member in RequestKind}
+_DIRECTIONS = {member.value: member for member in Direction}
+_RESULTS = {member.value: member for member in ResultCode}
+
+#: ``(column index, column name, table)`` of each enum column, to name the
+#: column and value a failed lookup came from.
+_TSV_ENUM_COLUMNS = tuple(
+    (TSV_COLUMNS.index(name), name, table)
+    for name, table in (
+        ("device_type", _DEVICE_TYPES),
+        ("kind", _KINDS),
+        ("direction", _DIRECTIONS),
+        ("result", _RESULTS),
+    )
+)
+
 
 def _open(path: str | Path, mode: str) -> IO[str]:
     """Open ``path`` as text, transparently handling ``.gz`` suffixes."""
@@ -100,28 +119,34 @@ def record_from_tsv(line: str) -> LogRecord:
     """
     parts = line.rstrip("\r\n").split("\t")
     if len(parts) == _LEGACY_TSV_COLUMNS:
-        result, session_id = ResultCode.OK, int(parts[11])
-    elif len(parts) == len(TSV_COLUMNS):
-        result, session_id = ResultCode(parts[11]), int(parts[12])
-    else:
+        parts.insert(11, ResultCode.OK.value)
+    elif len(parts) != len(TSV_COLUMNS):
         raise ValueError(
             f"expected {len(TSV_COLUMNS)} columns, got {len(parts)}: {line!r}"
         )
-    return LogRecord(
-        timestamp=float(parts[0]),
-        device_type=DeviceType(parts[1]),
-        device_id=parts[2],
-        user_id=int(parts[3]),
-        kind=RequestKind(parts[4]),
-        direction=Direction(parts[5]),
-        volume=int(parts[6]),
-        processing_time=float(parts[7]),
-        server_time=float(parts[8]),
-        rtt=float(parts[9]),
-        proxied=parts[10] == "1",
-        result=result,
-        session_id=session_id,
-    )
+    try:
+        return LogRecord(
+            float(parts[0]),
+            _DEVICE_TYPES[parts[1]],
+            parts[2],
+            int(parts[3]),
+            _KINDS[parts[4]],
+            _DIRECTIONS[parts[5]],
+            int(parts[6]),
+            float(parts[7]),
+            float(parts[8]),
+            float(parts[9]),
+            parts[10] == "1",
+            _RESULTS[parts[11]],
+            int(parts[12]),
+        )
+    except KeyError:
+        for index, name, table in _TSV_ENUM_COLUMNS:
+            if parts[index] not in table:
+                raise ValueError(
+                    f"unknown {name} value {parts[index]!r}: {line!r}"
+                ) from None
+        raise
 
 
 def record_to_dict(record: LogRecord) -> dict:

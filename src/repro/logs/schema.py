@@ -146,7 +146,7 @@ class LogRecord:
             raise ValueError("rtt must be >= 0")
         if self.kind is RequestKind.FILE_OP and self.volume:
             raise ValueError("file operations carry no payload")
-        if not self.result.is_ok and self.volume:
+        if self.result is not ResultCode.OK and self.volume:
             raise ValueError("failed requests carry no payload")
 
     @property

@@ -1,11 +1,18 @@
 """The synthetic trace generator.
 
-Executes a synthesized population (:mod:`repro.workload.population`) into a
-stream of Table 1 :class:`~repro.logs.schema.LogRecord` entries: for each
-user, sessions on their active days at diurnal start times; within each
-session, file operations bunched at the beginning (the paper's burstiness),
-followed by the chunk requests that move the data; chunk timing priced by
-the closed-form TCP transfer model with slow-start-restart penalties.
+Executes a synthesized population (:mod:`repro.workload.population`) into
+Table 1 request-log rows: for each user, sessions on their active days at
+diurnal start times; within each session, file operations bunched at the
+beginning (the paper's burstiness), followed by the chunk requests that
+move the data; chunk timing priced by the closed-form TCP transfer model
+with slow-start-restart penalties.
+
+:meth:`TraceGenerator.generate_user_rows` is the one emission routine.  It
+returns plain tuples in :class:`~repro.logs.schema.LogRecord` field order,
+with the enum fields stored as their :mod:`repro.logs.columnar` code-table
+indices, which :meth:`~repro.logs.columnar.ColumnarTrace.from_rows` turns
+into columns without building a per-record object.
+:meth:`TraceGenerator.generate_user` is the record view of the same rows.
 
 The generator is streaming — it yields records user by user — and every
 record carries a ground-truth ``session_id`` that the analysis pipeline
@@ -23,13 +30,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
 import numpy as np
 
-from ..logs.schema import CHUNK_SIZE, DeviceType, Direction, LogRecord, RequestKind
+from ..logs.columnar import (
+    CHUNK_CODE,
+    DEVICE_CODE,
+    FILE_OP_CODE,
+    OK_CODE,
+    RETRIEVE_CODE,
+    STORE_CODE,
+    Row,
+    record_from_row,
+)
+from ..logs.schema import CHUNK_SIZE, DeviceType, Direction, LogRecord
 from ..service.frontend import TransferModel
-from ..tcpsim.devices import DEFAULT_SERVER, ServerProfile, profile_for
+from ..tcpsim.devices import DEFAULT_SERVER, DeviceProfile, ServerProfile, profile_for
 from ..tcpsim.rto import paper_rto_estimate
 from .config import UserType, WorkloadConfig
 from .diurnal import SECONDS_PER_DAY, DiurnalSampler
@@ -42,6 +60,8 @@ from .sessions import SessionClass, SessionPlan, SessionPlanner
 #: while keeping ids unique across the whole population regardless of the
 #: order (or process) users are generated in.
 SESSION_ID_STRIDE = 1 << 16
+
+_by_timestamp = itemgetter(0)
 
 
 def user_rng(master_seed: int, user_id: int) -> np.random.Generator:
@@ -157,12 +177,20 @@ class TraceGenerator:
     def generate_user(self, user: UserSpec) -> Iterator[LogRecord]:
         """Yield one user's records in timestamp order.
 
+        The record view of :meth:`generate_user_rows`: each row wrapped in
+        a :class:`LogRecord` by :func:`~repro.logs.columnar.record_from_row`.
+        """
+        return map(record_from_row, self.generate_user_rows(user))
+
+    def generate_user_rows(self, user: UserSpec) -> list[Row]:
+        """One user's rows (:data:`~repro.logs.columnar.Row`), time-sorted.
+
         Depends only on ``(self.seed, user)`` — no generator state survives
         between users — so any subset of the population can be generated in
         any order (or in another process) with bit-identical output.
         """
         rng = user_rng(self.seed, user.user_id)
-        records: list[LogRecord] = []
+        rows: list[Row] = []
         store_left = user.store_files
         retrieve_left = user.retrieve_files
 
@@ -190,13 +218,13 @@ class TraceGenerator:
                 used_platforms.add(device.device_type is DeviceType.PC)
                 session_index += 1
                 session_id = user.user_id * SESSION_ID_STRIDE + session_index
-                records.extend(
+                rows.extend(
                     self._emit_session(user, device.device_id, device.device_type,
                                        plan, base, session_id, rng)
                 )
                 base += float(rng.uniform(0.5 * gap_hi, gap_hi)) * 3600.0
-        records.sort(key=lambda r: r.timestamp)
-        yield from records
+        rows.sort(key=_by_timestamp)
+        return rows
 
     # ------------------------------------------------------------------
     # Planning
@@ -346,10 +374,10 @@ class TraceGenerator:
         start: float,
         session_id: int,
         rng: np.random.Generator,
-    ) -> list[LogRecord]:
+    ) -> list[Row]:
         """Emit one session: bursty file operations, then chunk streams."""
         intervals = self.config.intervals
-        records: list[LogRecord] = []
+        rows: list[Row] = []
 
         ops: list[tuple[Direction, int]] = [
             (Direction.STORE, size) for size in plan.store_sizes
@@ -375,57 +403,51 @@ class TraceGenerator:
                 op_time += gap
             op_times.append((op_time, direction, size))
 
+        device_code = DEVICE_CODE[device_type]
+        user_id = user.user_id
         rtt = user.rtt
+        proxied = user.proxied
         tsrv_meta = float(self._server.tsrv.sample(rng)) * 0.2
         for when, direction, _size in op_times:
-            records.append(
-                LogRecord(
-                    timestamp=when,
-                    device_type=device_type,
-                    device_id=device_id,
-                    user_id=user.user_id,
-                    kind=RequestKind.FILE_OP,
-                    direction=direction,
-                    volume=0,
-                    processing_time=tsrv_meta,
-                    server_time=tsrv_meta,
-                    rtt=rtt,
-                    proxied=user.proxied,
-                    session_id=session_id,
-                )
-            )
+            rows.append((
+                when, device_code, device_id, user_id, FILE_OP_CODE,
+                STORE_CODE if direction is Direction.STORE else RETRIEVE_CODE,
+                0, tsrv_meta, tsrv_meta, rtt, proxied, OK_CODE, session_id,
+            ))
 
         if self.options.emit_chunks and not user.dedup_only:
             # Transfers share the device's link: each file's chunk stream
             # starts once the previous file finished (the app's transfer
             # queue), which is what stretches sessions far beyond the
             # operating time and produces the Fig 4 burstiness.
+            profile = profile_for(device_type)
             transfer_clock = 0.0
             for when, direction, size in op_times:
                 start = max(when + float(rng.uniform(0.05, 0.3)), transfer_clock)
-                chunk_records, transfer_clock = self._emit_chunks(
-                    user, device_id, device_type, direction, size,
-                    start, session_id, rng,
+                transfer_clock = self._emit_chunks(
+                    rows, user, device_id, device_code, profile, direction,
+                    size, start, session_id, rng,
                 )
-                records.extend(chunk_records)
-        records.sort(key=lambda r: r.timestamp)
-        return records
+        rows.sort(key=_by_timestamp)
+        return rows
 
     def _emit_chunks(
         self,
+        rows: list[Row],
         user: UserSpec,
         device_id: str,
-        device_type: DeviceType,
+        device_code: int,
+        profile: DeviceProfile,
         direction: Direction,
         file_size: int,
         start: float,
         session_id: int,
         rng: np.random.Generator,
-    ) -> tuple[list[LogRecord], float]:
-        """Emit the chunk requests moving one file.
+    ) -> float:
+        """Append the chunk requests moving one file to ``rows``.
 
-        Returns the records plus the time the transfer finished, so the
-        caller can queue the next file behind it.
+        Returns the time the transfer finished, so the caller can queue
+        the next file behind it.
         """
         n_full = max(1, math.ceil(file_size / CHUNK_SIZE))
         n_records = min(n_full, self.options.max_chunks_per_file)
@@ -433,43 +455,34 @@ class TraceGenerator:
         base_volume, remainder = divmod(file_size, n_records)
         volumes = [base_volume + (1 if i < remainder else 0) for i in range(n_records)]
 
-        profile = profile_for(device_type)
         is_store = direction is Direction.STORE
+        direction_code = STORE_CODE if is_store else RETRIEVE_CODE
         tclt_dist = profile.tclt(is_store)
-        rto = paper_rto_estimate(user.rtt)
+        user_id = user.user_id
+        rtt = user.rtt
+        proxied = user.proxied
+        rto = paper_rto_estimate(rtt)
         bandwidth = user.bandwidth * (
             1.0 if is_store else self.config.network.downlink_factor
         )
-        records: list[LogRecord] = []
+        tsrv_dist = self._server.tsrv
+        transfer_time = self._transfer.transfer_time
         clock = start
         idle = 0.0
         for index, volume in enumerate(volumes):
             restarted = index > 0 and idle > rto
-            tsrv = float(self._server.tsrv.sample(rng))
-            ttran = self._transfer.transfer_time(
-                volume, user.rtt, bandwidth, direction, restarted
-            )
+            tsrv = float(tsrv_dist.sample(rng))
+            ttran = transfer_time(volume, rtt, bandwidth, direction, restarted)
             tchunk = ttran + tsrv
-            records.append(
-                LogRecord(
-                    timestamp=clock,
-                    device_type=device_type,
-                    device_id=device_id,
-                    user_id=user.user_id,
-                    kind=RequestKind.CHUNK,
-                    direction=direction,
-                    volume=volume,
-                    processing_time=tchunk,
-                    server_time=tsrv,
-                    rtt=user.rtt,
-                    proxied=user.proxied,
-                    session_id=session_id,
-                )
-            )
+            rows.append((
+                clock, device_code, device_id, user_id, CHUNK_CODE,
+                direction_code, volume, tchunk, tsrv, rtt, proxied, OK_CODE,
+                session_id,
+            ))
             tclt = float(tclt_dist.sample(rng))
             clock += tchunk + tclt
             idle = tsrv + tclt
-        return records, clock
+        return clock
 
 
 def generate_trace(

@@ -45,6 +45,7 @@ from typing import Iterator, Sequence
 from ..logs.columnar import (
     DEFAULT_MERGE_BLOCK_ROWS,
     ColumnarTrace,
+    Row,
     merge_columnar_sorted,
 )
 from ..logs.io import open_reader, read_columnar, write_jsonl, write_tsv
@@ -370,13 +371,12 @@ def generate_trace_parallel(
 def _generate_shard_columnar(task: ShardTask) -> ColumnarTrace:
     """Worker: generate one shard and return it as column arrays.
 
-    The worker streams its users' records straight into a
-    :class:`ColumnarTrace` (records exist one user at a time and are
-    dropped immediately), so what crosses the process boundary — and what
-    the parent concatenates — is a handful of NumPy arrays, never a
-    per-record object graph.  Rows are left in emission order (users in
-    shard order, each user time-sorted); the parent's lexsort establishes
-    the global order.
+    The worker turns its users' rows straight into a
+    :class:`ColumnarTrace` (no :class:`LogRecord` is built), so what
+    crosses the process boundary — and what the parent concatenates — is
+    a handful of NumPy arrays, never a per-record object graph.  Rows are
+    left in emission order (users in shard order, each user time-sorted);
+    the parent's lexsort establishes the global order.
     """
     generator = TraceGenerator(
         task.n_mobile_users,
@@ -391,8 +391,8 @@ def _generate_shard_columnar(task: ShardTask) -> ColumnarTrace:
         if task.users is not None
         else partition_users(generator.population, task.n_shards)[task.shard_index]
     )
-    return ColumnarTrace.from_records(
-        r for user in users for r in generator.generate_user(user)
+    return ColumnarTrace.from_rows(
+        row for user in users for row in generator.generate_user_rows(user)
     )
 
 
@@ -474,8 +474,9 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     Users are generated in ascending ``user_id`` order (each user's
     records already time-sorted), so the part is ``(user_id, timestamp)``-
     sorted on disk without any shard-wide sort or materialization: at
-    most ``task.batch_records`` records exist at a time, whatever the
-    shard size.  Only the part *path* crosses back to the parent.
+    most ``task.batch_records`` rows exist at a time, whatever the
+    shard size, and no :class:`LogRecord` is built.  Only the part
+    *path* crosses back to the parent.
     """
     if task.path is None:
         raise ValueError("columnar part generation needs a part path")
@@ -497,14 +498,14 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     users.sort(key=lambda user: user.user_id)
     batch_records = max(1, task.batch_records)
     with ColumnarPartWriter(task.path) as writer:
-        buffer: list[LogRecord] = []
+        buffer: list[Row] = []
         for user in users:
-            buffer.extend(generator.generate_user(user))
+            buffer.extend(generator.generate_user_rows(user))
             if len(buffer) >= batch_records:
-                writer.append(ColumnarTrace.from_records(buffer))
+                writer.append(ColumnarTrace.from_rows(buffer))
                 buffer.clear()
         if buffer:
-            writer.append(ColumnarTrace.from_records(buffer))
+            writer.append(ColumnarTrace.from_rows(buffer))
         n_records = writer.n_rows
     return ColumnarShardPart(
         shard_index=task.shard_index,

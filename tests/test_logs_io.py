@@ -95,6 +95,25 @@ def test_malformed_tsv_line_raises():
         record_from_tsv("too\tfew\tcolumns")
 
 
+@pytest.mark.parametrize(
+    ("index", "column"),
+    [(1, "device_type"), (4, "kind"), (5, "direction"), (11, "result")],
+)
+def test_unknown_tsv_enum_value_names_column_and_value(index, column):
+    parts = record_to_tsv(SAMPLE[1]).split("\t")
+    parts[index] = "bogus"
+    with pytest.raises(ValueError, match=f"{column}.*'bogus'"):
+        record_from_tsv("\t".join(parts))
+
+
+def test_unknown_enum_value_in_legacy_tsv_line_raises_value_error():
+    parts = record_to_tsv(SAMPLE[1]).split("\t")
+    del parts[11]  # the pre-``result`` layout
+    parts[4] = "chunky"
+    with pytest.raises(ValueError, match="kind.*'chunky'"):
+        record_from_tsv("\t".join(parts))
+
+
 def test_record_from_tsv_tolerates_crlf():
     line = record_to_tsv(SAMPLE[1])
     assert record_from_tsv(line + "\r\n") == SAMPLE[1]
