@@ -1,13 +1,13 @@
-"""Benchmark — serial vs. sharded parallel trace generation throughput.
+"""Benchmark — sharded columnar generation throughput by worker count.
 
-Both engines are timed producing their on-disk deliverable: the serial
-generator writes one TSV trace; the sharded engine writes K sorted part
-files on worker processes (downstream analyses read them through the
-lazy k-way merge iterator, so the parts *are* the queryable trace).
-Prints a records/second table and asserts the determinism contract held
-(identical record counts).  The >= 1.5x speedup gate only arms on
-machines with at least four cores; on smaller runners the numbers are
-still printed so the bench stays informative.
+Every run produces the same artifact, the columnar part directories
+``generate_columnar_sharded`` writes (downstream readers merge them in
+bounded blocks, so the parts *are* the queryable trace): the baseline is
+one shard on one worker, the contenders ``K`` shards on ``K`` worker
+processes.  Prints a records/second table and asserts the determinism
+contract held (identical record counts).  The >= 1.5x speedup gate only
+arms on machines with at least four cores; on smaller runners the
+numbers are still printed so the bench stays informative.
 """
 
 import os
@@ -15,39 +15,23 @@ import time
 
 import pytest
 
-from repro.logs.io import write_tsv
-from repro.workload import (
-    GeneratorOptions,
-    TraceGenerator,
-    generate_sharded,
-)
+from repro.workload import GeneratorOptions
+from repro.workload.parallel import generate_columnar_sharded
 
 BENCH_USERS = 1200
 BENCH_PC_USERS = 200
 BENCH_SEED = 42
 BENCH_OPTIONS = GeneratorOptions(max_chunks_per_file=4)
 
-#: The acceptance gate: sharded generation at 4 workers must beat serial
-#: by this factor on a >= 4-core runner.
+#: The acceptance gate: sharded generation at 4 workers must beat one
+#: worker by this factor on a >= 4-core runner.
 SPEEDUP_GATE = 1.5
 GATE_WORKERS = 4
 
 
-def _serial(tmp_path):
-    generator = TraceGenerator(
-        BENCH_USERS,
-        n_pc_only_users=BENCH_PC_USERS,
-        options=BENCH_OPTIONS,
-        seed=BENCH_SEED,
-    )
+def _generate(tmp_path, workers):
     start = time.perf_counter()
-    count = write_tsv(generator.generate(), tmp_path / "serial.tsv")
-    return count, time.perf_counter() - start
-
-
-def _parallel(tmp_path, workers):
-    start = time.perf_counter()
-    sharded = generate_sharded(
+    sharded = generate_columnar_sharded(
         BENCH_USERS,
         n_pc_only_users=BENCH_PC_USERS,
         options=BENCH_OPTIONS,
@@ -61,22 +45,22 @@ def _parallel(tmp_path, workers):
 
 def test_parallel_generation_speedup(tmp_path):
     cores = os.cpu_count() or 1
-    serial_count, serial_seconds = _serial(tmp_path)
-    rows = [("serial", 1, serial_count, serial_seconds, 1.0)]
+    base_count, base_seconds = _generate(tmp_path, 1)
+    rows = [("sharded x1", 1, base_count, base_seconds, 1.0)]
     speedups = {}
     for workers in (2, GATE_WORKERS):
-        count, seconds = _parallel(tmp_path, workers)
-        assert count == serial_count, (
+        count, seconds = _generate(tmp_path, workers)
+        assert count == base_count, (
             "determinism contract violated: sharded record count "
-            f"{count} != serial {serial_count}"
+            f"{count} != single-worker {base_count}"
         )
-        speedups[workers] = serial_seconds / seconds
+        speedups[workers] = base_seconds / seconds
         rows.append((f"sharded x{workers}", workers, count, seconds,
                      speedups[workers]))
 
     print()
-    print(f"trace generation to disk, {BENCH_USERS + BENCH_PC_USERS} users, "
-          f"{serial_count:,} records, {cores} cores")
+    print(f"columnar part generation, {BENCH_USERS + BENCH_PC_USERS} users, "
+          f"{base_count:,} records, {cores} cores")
     print(f"{'engine':<14} {'workers':>7} {'seconds':>8} "
           f"{'records/s':>10} {'speedup':>8}")
     for name, workers, count, seconds, speedup in rows:

@@ -42,8 +42,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
     from .logs.anonymize import Anonymizer
     from .logs.io import write_jsonl, write_tsv
-    from .workload.generator import GeneratorOptions, TraceGenerator
-    from .workload.parallel import generate_sharded
+    from .workload.generator import GeneratorOptions
+    from .workload.parallel import generate_columnar_sharded
 
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
@@ -52,40 +52,28 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"--shards must be >= 1 (or 0 for auto), got {args.shards}",
               file=sys.stderr)
         return 2
-    options = GeneratorOptions(max_chunks_per_file=args.max_chunks)
     writer = write_jsonl if args.output.endswith((".jsonl", ".jsonl.gz")) else write_tsv
-    n_shards = args.shards or args.workers
-    if n_shards > 1 or args.workers > 1:
-        # Sharded path: workers write sorted part files into a scratch
-        # directory, then the k-way merge streams one time-sorted trace
-        # into the output.  Record-identical to the serial path for any
-        # (--shards, --workers) — see docs/SCALING.md.
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(
-            prefix=output.name + ".parts-", dir=output.parent
-        ) as scratch:
-            sharded = generate_sharded(
-                args.users,
-                n_pc_only_users=args.pc_users,
-                options=options,
-                seed=args.seed,
-                n_shards=max(n_shards, 1),
-                n_workers=args.workers,
-                part_dir=scratch,
-            )
-            records = sharded.merged()
-            if args.anonymize:
-                records = Anonymizer().anonymize_stream(records)
-            count = writer(records, args.output)
-    else:
-        generator = TraceGenerator(
+    output = Path(args.output)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    # Workers write columnar parts into a scratch directory next to the
+    # output; the k-way merge streams them back in the serial generator's
+    # (user_id, timestamp) order, so the file is byte-identical for any
+    # (--shards, --workers) — see docs/SCALING.md.
+    with tempfile.TemporaryDirectory(
+        prefix=output.name + ".parts-", dir=output.parent
+    ) as scratch:
+        sharded = generate_columnar_sharded(
             args.users,
             n_pc_only_users=args.pc_users,
-            options=options,
+            options=GeneratorOptions(max_chunks_per_file=args.max_chunks),
             seed=args.seed,
+            n_shards=args.shards or args.workers,
+            n_workers=args.workers,
+            part_dir=scratch,
         )
-        records = generator.generate()
+        records = (
+            r for block in sharded.merged_blocks() for r in block.iter_records()
+        )
         if args.anonymize:
             records = Anonymizer().anonymize_stream(records)
         count = writer(records, args.output)

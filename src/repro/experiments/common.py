@@ -39,7 +39,7 @@ from ..logs.columnar import SCHEMA_VERSION, ColumnarTrace
 from ..logs.npz import load_npz
 from ..logs.schema import LogRecord
 from ..workload.generator import GeneratorOptions, TraceGenerator
-from ..workload.parallel import generate_trace_parallel
+from ..workload.parallel import generate_columnar_parallel
 
 #: Default experiment scale: large enough for stable statistics, small
 #: enough to generate in seconds.
@@ -174,14 +174,14 @@ def _generate_records(
         )
     if workers > 1:
         return tuple(
-            generate_trace_parallel(
+            generate_columnar_parallel(
                 n_users,
                 n_pc_only_users=n_pc_users,
                 options=options,
                 seed=seed,
                 n_shards=workers,
                 n_workers=workers,
-            )
+            ).to_records()
         )
     generator = TraceGenerator(
         n_users,

@@ -26,7 +26,9 @@ Invariants
 * :meth:`ColumnarTrace.from_rows` rejects the rows
   :class:`~repro.logs.schema.LogRecord` would reject (negative volume,
   processing time or RTT; a payload on a file operation or a failed
-  request), one vectorized check per batch.
+  request), one vectorized check (:func:`first_invalid_row`) per batch;
+  the bulk text readers in :mod:`repro.logs.io` run the same check once
+  per chunk.
 * Enum code tables are part of the schema: :data:`SCHEMA_VERSION` must be
   bumped whenever the column layout *or* a code table changes, so on-disk
   NPZ caches invalidate instead of decoding garbage.
@@ -142,8 +144,12 @@ def record_from_row(row: Row) -> LogRecord:
     )
 
 
-def _check_record_invariants(columns: dict[str, np.ndarray]) -> None:
-    """Raise ``ValueError`` at the first row :class:`LogRecord` rejects."""
+def first_invalid_row(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
+    """``(row, message)`` of the first row :class:`LogRecord` rejects.
+
+    ``None`` when every row is valid.  The message is the one
+    :class:`LogRecord` raises; callers prefix the row's position.
+    """
     volume = columns["volume"]
     carries_payload = volume != 0
     checks = (
@@ -161,8 +167,8 @@ def _check_record_invariants(columns: dict[str, np.ndarray]) -> None:
     )
     for bad, message in checks:
         if bad.any():
-            row = int(np.argmax(bad))
-            raise ValueError(f"row {row}: {message}")
+            return int(np.argmax(bad)), message
+    return None
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,9 @@ class ColumnarTrace:
             dtype=np.int64,
             count=n_rows,
         )
-        _check_record_invariants(columns)
+        invalid = first_invalid_row(columns)
+        if invalid is not None:
+            raise ValueError("row %d: %s" % invalid)
         return cls._from_columns(columns, device_pool=tuple(pool))
 
     @classmethod
@@ -305,6 +313,9 @@ class ColumnarTrace:
         Numeric columns convert with one ``np.asarray`` call each; enum
         columns map through their value tables.  ``device_pool`` lets the
         caller thread one pool dict across chunks so codes stay global.
+        Record invariants are the caller's to check
+        (:func:`first_invalid_row`), so an error can name the row's
+        position in the file rather than in the chunk.
         """
         pool = device_pool if device_pool is not None else {}
         columns = {
@@ -342,59 +353,22 @@ class ColumnarTrace:
 
     def record(self, i: int) -> LogRecord:
         """Materialize row ``i`` as a :class:`LogRecord`."""
-        return LogRecord(
-            timestamp=float(self.timestamp[i]),
-            device_type=DEVICE_TYPES[self.device_type[i]],
-            device_id=self.device_pool[self.device_code[i]],
-            user_id=int(self.user_id[i]),
-            kind=REQUEST_KINDS[self.kind[i]],
-            direction=DIRECTIONS[self.direction[i]],
-            volume=int(self.volume[i]),
-            processing_time=float(self.processing_time[i]),
-            server_time=float(self.server_time[i]),
-            rtt=float(self.rtt[i]),
-            proxied=bool(self.proxied[i]),
-            result=RESULT_CODES[self.result[i]],
-            session_id=int(self.session_id[i]),
-        )
+        row = [getattr(self, name)[i].item() for name, _ in COLUMNS]
+        row[2] = self.device_pool[row[2]]
+        return record_from_row(row)
 
     def __iter__(self) -> Iterator[LogRecord]:
         return self.iter_records()
 
     def iter_records(self) -> Iterator[LogRecord]:
         """Yield rows as records one at a time (bounded memory)."""
-        # Pull the columns into locals once; .tolist() converts to native
-        # Python scalars in bulk, ~5x faster than per-element np indexing.
-        ts = self.timestamp.tolist()
-        dt = self.device_type.tolist()
-        dc = self.device_code.tolist()
-        uid = self.user_id.tolist()
-        kind = self.kind.tolist()
-        direction = self.direction.tolist()
-        vol = self.volume.tolist()
-        proc = self.processing_time.tolist()
-        srv = self.server_time.tolist()
-        rtt = self.rtt.tolist()
-        prox = self.proxied.tolist()
-        res = self.result.tolist()
-        sid = self.session_id.tolist()
+        # .tolist() converts to native Python scalars in bulk, ~5x faster
+        # than per-element np indexing.  Decoding the device codes through
+        # the pool makes each zipped tuple a Row.
+        columns = [getattr(self, name).tolist() for name, _ in COLUMNS]
         pool = self.device_pool
-        for i in range(len(ts)):
-            yield LogRecord(
-                timestamp=ts[i],
-                device_type=DEVICE_TYPES[dt[i]],
-                device_id=pool[dc[i]],
-                user_id=uid[i],
-                kind=REQUEST_KINDS[kind[i]],
-                direction=DIRECTIONS[direction[i]],
-                volume=vol[i],
-                processing_time=proc[i],
-                server_time=srv[i],
-                rtt=rtt[i],
-                proxied=prox[i],
-                result=RESULT_CODES[res[i]],
-                session_id=sid[i],
-            )
+        columns[2] = [pool[code] for code in columns[2]]
+        return map(record_from_row, zip(*columns))
 
     def to_records(self) -> list[LogRecord]:
         """Materialize the whole trace as a record list (row order kept)."""

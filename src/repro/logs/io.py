@@ -17,7 +17,8 @@ For analysis workloads there is a second, much faster read path:
 :func:`read_columnar` bulk-parse the file in line chunks straight into a
 :class:`~repro.logs.columnar.ColumnarTrace` — one ``np.asarray`` call per
 numeric column per chunk instead of one ``LogRecord`` per line — while
-preserving the legacy 12-column tolerance of the record readers.
+preserving the legacy 12-column tolerance of the record readers and
+rejecting every line they reject.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
-from .columnar import ColumnarTrace
+from .columnar import ColumnarTrace, first_invalid_row
 from .schema import Direction, DeviceType, LogRecord, RequestKind, ResultCode
 
 TSV_COLUMNS = (
@@ -313,6 +314,63 @@ def _tsv_chunk_to_columnar(
     )
 
 
+def _jsonl_chunk_to_columnar(
+    lines: list[str], pool: dict[str, int]
+) -> ColumnarTrace:
+    dicts = [json.loads(line) for line in lines]
+    return ColumnarTrace.from_string_columns(
+        timestamp=[d["timestamp"] for d in dicts],
+        device_type=[d["device_type"] for d in dicts],
+        device_id=[str(d["device_id"]) for d in dicts],
+        user_id=[d["user_id"] for d in dicts],
+        kind=[d["kind"] for d in dicts],
+        direction=[d["direction"] for d in dicts],
+        volume=[d.get("volume", 0) for d in dicts],
+        processing_time=[d.get("processing_time", 0.0) for d in dicts],
+        server_time=[d.get("server_time", 0.0) for d in dicts],
+        rtt=[d.get("rtt", 0.0) for d in dicts],
+        proxied=["1" if d.get("proxied", False) else "0" for d in dicts],
+        result=[d.get("result", "ok") for d in dicts],
+        session_id=[d.get("session_id", -1) for d in dicts],
+        device_pool=pool,
+    )
+
+
+def _read_chunks(
+    path: str | Path,
+    chunk_lines: int,
+    parse_chunk: Callable[[list[str], dict[str, int]], ColumnarTrace],
+) -> ColumnarTrace:
+    """Parse ``path`` ``chunk_lines`` data lines at a time and concatenate.
+
+    Every chunk is checked against :class:`LogRecord`'s invariants once,
+    so the bulk readers reject exactly the lines the record readers do;
+    the error names the row's position in the file.
+    """
+    if chunk_lines < 1:
+        raise ValueError("chunk_lines must be >= 1")
+    chunks: list[ColumnarTrace] = []
+    pool: dict[str, int] = {}
+    first_row = 0
+    with _open(path, "r") as fh:
+        lines = _data_lines(fh)
+        while chunk := list(itertools.islice(lines, chunk_lines)):
+            trace = parse_chunk(chunk, pool)
+            invalid = first_invalid_row(trace.columns())
+            if invalid is not None:
+                row, message = invalid
+                raise ValueError(f"row {first_row + row}: {message}")
+            first_row += len(trace)
+            chunks.append(trace)
+    if not chunks:
+        return ColumnarTrace.empty()
+    # The chunks thread one device pool, so the concatenation remap is the
+    # identity — chunk codes survive unchanged.
+    return (
+        chunks[0] if len(chunks) == 1 else ColumnarTrace.concatenate(chunks)
+    )
+
+
 def read_tsv_columnar(
     path: str | Path, *, chunk_lines: int = COLUMNAR_CHUNK_LINES
 ) -> ColumnarTrace:
@@ -325,21 +383,7 @@ def read_tsv_columnar(
     CRLF line endings and trailing blank lines exactly like the record
     reader.
     """
-    if chunk_lines < 1:
-        raise ValueError("chunk_lines must be >= 1")
-    chunks: list[ColumnarTrace] = []
-    pool: dict[str, int] = {}
-    with _open(path, "r") as fh:
-        lines = _data_lines(fh)
-        while chunk := list(itertools.islice(lines, chunk_lines)):
-            chunks.append(_tsv_chunk_to_columnar(chunk, pool))
-    if not chunks:
-        return ColumnarTrace.empty()
-    # The chunks thread one device pool, so the concatenation remap is the
-    # identity — chunk codes survive unchanged.
-    return (
-        chunks[0] if len(chunks) == 1 else ColumnarTrace.concatenate(chunks)
-    )
+    return _read_chunks(path, chunk_lines, _tsv_chunk_to_columnar)
 
 
 def read_jsonl_columnar(
@@ -350,41 +394,7 @@ def read_jsonl_columnar(
     Same chunked column-sliced conversion as :func:`read_tsv_columnar`;
     missing optional fields take the :func:`record_from_dict` defaults.
     """
-    if chunk_lines < 1:
-        raise ValueError("chunk_lines must be >= 1")
-    chunks: list[ColumnarTrace] = []
-    pool: dict[str, int] = {}
-    with _open(path, "r") as fh:
-        lines = _data_lines(fh)
-        while chunk := list(itertools.islice(lines, chunk_lines)):
-            dicts = [json.loads(line) for line in chunk]
-            chunks.append(
-                ColumnarTrace.from_string_columns(
-                    timestamp=[d["timestamp"] for d in dicts],
-                    device_type=[d["device_type"] for d in dicts],
-                    device_id=[str(d["device_id"]) for d in dicts],
-                    user_id=[d["user_id"] for d in dicts],
-                    kind=[d["kind"] for d in dicts],
-                    direction=[d["direction"] for d in dicts],
-                    volume=[d.get("volume", 0) for d in dicts],
-                    processing_time=[
-                        d.get("processing_time", 0.0) for d in dicts
-                    ],
-                    server_time=[d.get("server_time", 0.0) for d in dicts],
-                    rtt=[d.get("rtt", 0.0) for d in dicts],
-                    proxied=[
-                        "1" if d.get("proxied", False) else "0" for d in dicts
-                    ],
-                    result=[d.get("result", "ok") for d in dicts],
-                    session_id=[d.get("session_id", -1) for d in dicts],
-                    device_pool=pool,
-                )
-            )
-    if not chunks:
-        return ColumnarTrace.empty()
-    return (
-        chunks[0] if len(chunks) == 1 else ColumnarTrace.concatenate(chunks)
-    )
+    return _read_chunks(path, chunk_lines, _jsonl_chunk_to_columnar)
 
 
 def read_columnar(path: str | Path) -> ColumnarTrace:

@@ -39,16 +39,8 @@ from .generator import (
     user_rng,
 )
 from .parallel import (
-    ShardedTrace,
-    ShardPart,
     ShardTask,
     generate_columnar_parallel,
-    generate_shard,
-    generate_sharded,
-    generate_trace_parallel,
-    generate_trace_to_file,
-    merge_key,
-    merge_shards,
     partition_users,
     shard_of_user,
 )
@@ -103,9 +95,7 @@ __all__ = [
     "SessionPlan",
     "SessionPlanner",
     "SharedObject",
-    "ShardPart",
     "ShardTask",
-    "ShardedTrace",
     "TraceGenerator",
     "UserMixModel",
     "UserSpec",
@@ -117,15 +107,9 @@ __all__ = [
     "corpus_bytes",
     "evaluate_deferral",
     "generate_columnar_parallel",
-    "generate_shard",
-    "generate_sharded",
     "generate_trace",
-    "generate_trace_parallel",
-    "generate_trace_to_file",
     "folded_load",
     "hourly_load",
-    "merge_key",
-    "merge_shards",
     "mobile_backup_stream",
     "partition_users",
     "pc_sync_stream",

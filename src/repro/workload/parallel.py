@@ -23,18 +23,21 @@ hold:
    deterministic population from ``(n_mobile_users, n_pc_only_users,
    config, seed)``.
 
-Each shard's records are sorted by the total order :func:`merge_key` =
-``(timestamp, user_id)`` and streamed to a per-shard TSV/JSONL part file
-through :mod:`repro.logs.io`; :func:`merge_shards` is a k-way heap merge
-over the part files, so downstream analyses see one globally
-timestamp-sorted stream without ever materializing the trace in memory.
-Ties within one ``(timestamp, user_id)`` key keep the user's emission
-order, which is well-defined because a user lives in exactly one shard.
+Each worker streams its shard to a memory-mappable columnar part
+directory (:mod:`repro.logs.parts`), users in ascending ``user_id`` order
+and each user's rows time-sorted, so every part is ``(user_id,
+timestamp)``-sorted on disk.  :meth:`ColumnarShardedTrace.merged_blocks`
+k-way merges the parts (:func:`repro.logs.columnar.merge_columnar_sorted`)
+into bounded blocks in the global ``(user_id, timestamp)`` order — the
+serial generator's emission order, because a user lives in exactly one
+shard — without ever materializing the trace.  Everything else is a
+reader of those parts: :func:`generate_columnar_parallel` concatenates
+the merged blocks in memory, and ``repro generate`` exports them to
+TSV/JSONL.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -48,14 +51,12 @@ from ..logs.columnar import (
     Row,
     merge_columnar_sorted,
 )
-from ..logs.io import open_reader, read_columnar, write_jsonl, write_tsv
 from ..logs.parts import ColumnarPartWriter, read_columnar_part
-from ..logs.schema import LogRecord
 from .config import WorkloadConfig
 from .generator import GeneratorOptions, TraceGenerator
 from .population import UserSpec, build_population
 
-#: Part files are named ``part-0042.tsv`` etc. inside the part directory.
+#: Parts are named ``part-0042.cols`` etc. inside the part directory.
 PART_STEM = "part"
 
 #: Records a columnar-part worker buffers before appending them to the
@@ -96,16 +97,6 @@ def partition_users(
     return shards
 
 
-def merge_key(record: LogRecord) -> tuple[float, int]:
-    """Total-order sort key for shard files and the k-way merge.
-
-    ``(timestamp, user_id)`` is total across shards because equal keys can
-    only collide within a single user (one shard), where stable sorting
-    preserves the generator's emission order.
-    """
-    return (record.timestamp, record.user_id)
-
-
 # ----------------------------------------------------------------------
 # Shard execution
 # ----------------------------------------------------------------------
@@ -122,336 +113,14 @@ class ShardTask:
     config: WorkloadConfig | None
     options: GeneratorOptions | None
     seed: int
-    #: Destination part file; ``None`` returns records in memory instead.
-    path: str | None
+    #: Destination part directory.
+    path: str
     #: This shard's prebuilt user specs.  ``None`` makes the worker
     #: rebuild the (deterministic) population and partition it itself —
     #: same output, one redundant population build per worker.
     users: tuple[UserSpec, ...] | None = None
-    #: Record batch size for the columnar-part worker (ignored by the
-    #: TSV/JSONL and in-memory workers).
+    #: Rows the worker buffers before appending them to the part.
     batch_records: int = DEFAULT_PART_BATCH_RECORDS
-
-
-@dataclass(frozen=True)
-class ShardPart:
-    """One generated shard: its part file (if any) and bookkeeping."""
-
-    shard_index: int
-    path: str | None
-    n_records: int
-    n_users: int
-    records: tuple[LogRecord, ...] = ()
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        if self.path is None:
-            return iter(self.records)
-        return open_reader(self.path)
-
-    def columnar(self) -> ColumnarTrace:
-        """Load this part as a :class:`ColumnarTrace` (bulk parse).
-
-        The record iterator above re-parses the part file into one
-        :class:`LogRecord` object per line; this path goes through the
-        chunked columnar readers in :mod:`repro.logs.io` instead — no
-        per-record objects, an order of magnitude faster on large parts.
-        Prefer it (or :func:`generate_columnar_sharded`, which skips text
-        entirely) for anything beyond record-at-a-time debugging.
-        """
-        if self.path is None:
-            return ColumnarTrace.from_records(self.records)
-        return read_columnar(self.path)
-
-
-def generate_shard(task: ShardTask) -> ShardPart:
-    """Generate one shard's records, sorted by :func:`merge_key`.
-
-    Runs in a worker process: takes the shard's users from the task (or
-    rebuilds the deterministic population and partitions it), then either
-    streams the sorted records to ``task.path`` via :mod:`repro.logs.io`
-    or returns them in memory.
-    """
-    generator = TraceGenerator(
-        task.n_mobile_users,
-        n_pc_only_users=task.n_pc_only_users,
-        config=task.config,
-        options=task.options,
-        seed=task.seed,
-        population=list(task.users) if task.users is not None else None,
-    )
-    users = (
-        list(task.users)
-        if task.users is not None
-        else partition_users(generator.population, task.n_shards)[task.shard_index]
-    )
-    records = [r for user in users for r in generator.generate_user(user)]
-    records.sort(key=merge_key)
-    if task.path is None:
-        return ShardPart(
-            shard_index=task.shard_index,
-            path=None,
-            n_records=len(records),
-            n_users=len(users),
-            records=tuple(records),
-        )
-    writer = (
-        write_jsonl
-        if task.path.endswith((".jsonl", ".jsonl.gz"))
-        else write_tsv
-    )
-    count = writer(records, task.path)
-    return ShardPart(
-        shard_index=task.shard_index,
-        path=task.path,
-        n_records=count,
-        n_users=len(users),
-    )
-
-
-# ----------------------------------------------------------------------
-# Orchestration and merging
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedTrace:
-    """The output of a sharded generation run."""
-
-    parts: tuple[ShardPart, ...]
-
-    @property
-    def n_records(self) -> int:
-        return sum(part.n_records for part in self.parts)
-
-    @property
-    def paths(self) -> list[str]:
-        return [part.path for part in self.parts if part.path is not None]
-
-    def merged(self) -> Iterator[LogRecord]:
-        """One globally time-sorted stream over all shards."""
-        return heapq.merge(*self.parts, key=merge_key)
-
-
-def merge_shards(paths: Sequence[str | Path]) -> Iterator[LogRecord]:
-    """K-way merge of sorted part files into one time-sorted stream.
-
-    Holds one record per shard in memory; output is non-decreasing in
-    :func:`merge_key` provided each part file is sorted by it (which
-    :func:`generate_shard` guarantees).
-    """
-    return heapq.merge(*(open_reader(p) for p in paths), key=merge_key)
-
-
-def _resolve_workers(n_shards: int, n_workers: int | None) -> int:
-    if n_workers is None:
-        n_workers = min(n_shards, os.cpu_count() or 1)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    return min(n_workers, n_shards)
-
-
-def generate_sharded(
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-    part_dir: str | Path | None = None,
-    part_format: str = "tsv",
-) -> ShardedTrace:
-    """Generate a trace as ``n_shards`` sorted shards on worker processes.
-
-    Parameters
-    ----------
-    n_shards:
-        Number of deterministic population shards.  The merged output is
-        identical for every value (the determinism contract).
-    n_workers:
-        Worker processes; defaults to ``min(n_shards, cpu_count)``.  With
-        one worker, shards run inline in this process (no pool overhead,
-        same output).
-    part_dir:
-        Directory receiving ``part-NNNN.<fmt>`` files.  When ``None``,
-        shards are returned in memory on the :class:`ShardPart` objects —
-        records then round-trip through pickle instead of a file, keeping
-        full float precision.
-    part_format:
-        ``"tsv"`` or ``"jsonl"`` (optionally with a ``.gz`` suffix, e.g.
-        ``"tsv.gz"``), for ``part_dir`` mode.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    stem_format = part_format.removesuffix(".gz")
-    if stem_format not in ("tsv", "jsonl"):
-        raise ValueError(f"unsupported part format: {part_format!r}")
-    n_workers = _resolve_workers(n_shards, n_workers)
-    if part_dir is not None:
-        part_dir = Path(part_dir)
-        part_dir.mkdir(parents=True, exist_ok=True)
-    # Build the population once here and hand each worker only its shard,
-    # so workers skip the redundant O(population) rebuild.  build_population
-    # validates the counts as a side effect.
-    population = build_population(
-        n_mobile_users,
-        n_pc_only_users=n_pc_only_users,
-        config=config or WorkloadConfig(),
-        seed=seed,
-    )
-    shards = partition_users(population, n_shards)
-    tasks = [
-        ShardTask(
-            shard_index=index,
-            n_shards=n_shards,
-            n_mobile_users=n_mobile_users,
-            n_pc_only_users=n_pc_only_users,
-            config=config,
-            options=options,
-            seed=seed,
-            path=(
-                str(part_dir / f"{PART_STEM}-{index:04d}.{part_format}")
-                if part_dir is not None
-                else None
-            ),
-            users=tuple(shards[index]),
-        )
-        for index in range(n_shards)
-    ]
-    if n_workers == 1:
-        parts = [generate_shard(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(generate_shard, tasks))
-    return ShardedTrace(parts=tuple(parts))
-
-
-def generate_trace_parallel(
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-) -> list[LogRecord]:
-    """Parallel drop-in for :func:`repro.workload.generator.generate_trace`.
-
-    Generates in-memory shards on worker processes and returns the exact
-    record list the serial generator would produce — same records, same
-    order (the serial generator emits users in ascending ``user_id`` with
-    each user time-sorted, so sorting the merged stream by ``(user_id,
-    timestamp)`` reconstructs it; the sort is stable and a user's
-    within-timestamp ties keep their emission order).
-
-    .. deprecated:: use only where :class:`LogRecord` objects are the
-       point (record-path equivalence tests, small debugging runs).  The
-       per-record materialization caps this path far below paper scale;
-       :func:`generate_columnar_parallel` returns the same trace as
-       arrays, and :func:`generate_columnar_sharded` streams it through
-       memory-mapped parts without materializing anything.
-    """
-    sharded = generate_sharded(
-        n_mobile_users,
-        n_pc_only_users=n_pc_only_users,
-        config=config,
-        options=options,
-        seed=seed,
-        n_shards=n_shards,
-        n_workers=n_workers,
-        part_dir=None,
-    )
-    records = [r for part in sharded.parts for r in part.records]
-    records.sort(key=lambda r: (r.user_id, r.timestamp))
-    return records
-
-
-def _generate_shard_columnar(task: ShardTask) -> ColumnarTrace:
-    """Worker: generate one shard and return it as column arrays.
-
-    The worker turns its users' rows straight into a
-    :class:`ColumnarTrace` (no :class:`LogRecord` is built), so what
-    crosses the process boundary — and what the parent concatenates — is
-    a handful of NumPy arrays, never a per-record object graph.  Rows are
-    left in emission order (users in shard order, each user time-sorted);
-    the parent's lexsort establishes the global order.
-    """
-    generator = TraceGenerator(
-        task.n_mobile_users,
-        n_pc_only_users=task.n_pc_only_users,
-        config=task.config,
-        options=task.options,
-        seed=task.seed,
-        population=list(task.users) if task.users is not None else None,
-    )
-    users = (
-        list(task.users)
-        if task.users is not None
-        else partition_users(generator.population, task.n_shards)[task.shard_index]
-    )
-    return ColumnarTrace.from_rows(
-        row for user in users for row in generator.generate_user_rows(user)
-    )
-
-
-def generate_columnar_parallel(
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-) -> ColumnarTrace:
-    """Columnar counterpart of :func:`generate_trace_parallel`.
-
-    Workers return struct-of-arrays shards which the parent concatenates
-    and stably lexsorts by ``(user_id, timestamp)`` — the serial
-    generator's emission order — so
-    ``generate_columnar_parallel(...).to_records()`` equals
-    ``generate_trace(...)`` record for record (and field for field: arrays
-    round-trip through pickle at full float precision).  The parent never
-    materializes a single :class:`LogRecord`.
-
-    Note that worker results still cross the process boundary as pickled
-    arrays and the parent holds — then lexsorts — the whole trace, so
-    peak RSS is O(records).  :func:`generate_columnar_sharded` produces
-    the identical stream through memory-mapped part files in
-    O(block × shards) memory; prefer it beyond a few million records.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    n_workers = _resolve_workers(n_shards, n_workers)
-    population = build_population(
-        n_mobile_users,
-        n_pc_only_users=n_pc_only_users,
-        config=config or WorkloadConfig(),
-        seed=seed,
-    )
-    shards = partition_users(population, n_shards)
-    tasks = [
-        ShardTask(
-            shard_index=index,
-            n_shards=n_shards,
-            n_mobile_users=n_mobile_users,
-            n_pc_only_users=n_pc_only_users,
-            config=config,
-            options=options,
-            seed=seed,
-            path=None,
-            users=tuple(shards[index]),
-        )
-        for index in range(n_shards)
-    ]
-    if n_workers == 1:
-        parts = [_generate_shard_columnar(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_generate_shard_columnar, tasks))
-    return ColumnarTrace.concatenate(parts).sorted_by_user_time()
 
 
 @dataclass(frozen=True)
@@ -478,8 +147,6 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     shard size, and no :class:`LogRecord` is built.  Only the part
     *path* crosses back to the parent.
     """
-    if task.path is None:
-        raise ValueError("columnar part generation needs a part path")
     generator = TraceGenerator(
         task.n_mobile_users,
         n_pc_only_users=task.n_pc_only_users,
@@ -515,6 +182,19 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     )
 
 
+# ----------------------------------------------------------------------
+# Orchestration
+# ----------------------------------------------------------------------
+
+
+def _resolve_workers(n_shards: int, n_workers: int | None) -> int:
+    if n_workers is None:
+        n_workers = min(n_shards, os.cpu_count() or 1)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    return min(n_workers, n_shards)
+
+
 @dataclass(frozen=True)
 class ColumnarShardedTrace:
     """A trace generated as on-disk columnar shard parts.
@@ -546,9 +226,9 @@ class ColumnarShardedTrace:
     ) -> Iterator[ColumnarTrace]:
         """Stream the global ``(user_id, timestamp)`` order in blocks.
 
-        Concatenating the blocks reproduces
-        ``generate_columnar_parallel(...)`` byte for byte, but peak RSS
-        is O(``block_rows`` × shards): sources are memory-mapped and the
+        Concatenating the blocks gives the serial generator's records in
+        its order (:func:`generate_columnar_parallel`), but peak RSS is
+        O(``block_rows`` × shards): sources are memory-mapped and the
         merge buffers one window per shard.
         """
         return merge_columnar_sorted(
@@ -616,8 +296,7 @@ def generate_columnar_sharded(
     return ColumnarShardedTrace(parts=tuple(parts))
 
 
-def generate_trace_to_file(
-    output: str | Path,
+def generate_columnar_parallel(
     n_mobile_users: int,
     *,
     n_pc_only_users: int = 0,
@@ -626,21 +305,19 @@ def generate_trace_to_file(
     seed: int = 0,
     n_shards: int = 4,
     n_workers: int | None = None,
-) -> int:
-    """Generate shards in a scratch directory and merge into ``output``.
+) -> ColumnarTrace:
+    """The whole trace in memory, in the serial generator's order.
 
-    The output file is globally timestamp-sorted (merge order), written in
-    the format implied by its extension.  Returns the record count.
+    Runs :func:`generate_columnar_sharded` into a scratch directory and
+    concatenates the merged blocks, so
+    ``generate_columnar_parallel(...).to_records()`` equals
+    ``generate_trace(...)`` record for record and field for field (parts
+    store float64, never text).  The result holds the whole trace: peak
+    RSS is O(records).  Beyond a few million records, stream
+    :meth:`ColumnarShardedTrace.merged_blocks` instead.
     """
-    output = Path(output)
-    suffix = "".join(output.suffixes)
-    part_format = "jsonl" if ".jsonl" in suffix else "tsv"
-    writer = write_jsonl if part_format == "jsonl" else write_tsv
-    output.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(
-        prefix=output.name + ".parts-", dir=output.parent
-    ) as scratch:
-        sharded = generate_sharded(
+    with tempfile.TemporaryDirectory() as part_dir:
+        sharded = generate_columnar_sharded(
             n_mobile_users,
             n_pc_only_users=n_pc_only_users,
             config=config,
@@ -648,7 +325,6 @@ def generate_trace_to_file(
             seed=seed,
             n_shards=n_shards,
             n_workers=n_workers,
-            part_dir=scratch,
-            part_format=part_format,
+            part_dir=part_dir,
         )
-        return writer(sharded.merged(), output)
+        return ColumnarTrace.concatenate(list(sharded.merged_blocks(mmap=False)))

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.logs.anonymize import Anonymizer
+from repro.logs.io import write_jsonl, write_tsv
+from repro.workload import GeneratorOptions, generate_trace
 
 
 def test_generate_and_analyze_roundtrip(tmp_path, capsys):
@@ -57,6 +60,55 @@ def test_generate_deterministic(tmp_path):
     main(["generate", str(a), "--users", "40", "--seed", "9"])
     main(["generate", str(b), "--users", "40", "--seed", "9"])
     assert a.read_text() == b.read_text()
+
+
+CONTRACT_USERS, CONTRACT_PC_USERS, CONTRACT_SEED = 60, 12, 7
+
+
+def serial_reference(path, *, anonymize=False):
+    """What the serial generator writes, through the extension's writer."""
+    records = generate_trace(
+        CONTRACT_USERS,
+        n_pc_only_users=CONTRACT_PC_USERS,
+        options=GeneratorOptions(max_chunks_per_file=2),
+        seed=CONTRACT_SEED,
+    )
+    if anonymize:
+        records = Anonymizer().anonymize_stream(records)
+    writer = write_jsonl if path.suffix == ".jsonl" else write_tsv
+    writer(records, path)
+    return path.read_bytes()
+
+
+def cli_generate(path, workers, shards, *extra):
+    assert main(["generate", str(path),
+                 "--users", str(CONTRACT_USERS),
+                 "--pc-users", str(CONTRACT_PC_USERS),
+                 "--max-chunks", "2", "--seed", str(CONTRACT_SEED),
+                 "--workers", str(workers), "--shards", str(shards),
+                 *extra]) == 0
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(("workers", "shards"), [(1, 0), (2, 4), (1, 3)])
+def test_generate_output_identical_for_any_workers_and_shards(
+    tmp_path, workers, shards
+):
+    """`--workers`/`--shards` never change a byte of the output file."""
+    want = serial_reference(tmp_path / "serial.tsv")
+    got = cli_generate(tmp_path / "cli.tsv", workers, shards)
+    assert got == want
+
+
+def test_generate_jsonl_identical_to_serial(tmp_path):
+    want = serial_reference(tmp_path / "serial.jsonl")
+    assert cli_generate(tmp_path / "cli.jsonl", 2, 4) == want
+
+
+def test_generate_anonymized_identical_to_serial(tmp_path):
+    want = serial_reference(tmp_path / "serial.tsv", anonymize=True)
+    assert cli_generate(tmp_path / "w1.tsv", 1, 0, "--anonymize") == want
+    assert cli_generate(tmp_path / "w2.tsv", 2, 3, "--anonymize") == want
 
 
 def test_experiments_filter(capsys):

@@ -28,8 +28,8 @@ from repro.logs.io import (
 )
 from repro.workload import (
     GeneratorOptions,
+    generate_columnar_parallel,
     generate_trace,
-    generate_trace_parallel,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.tsv"
@@ -63,14 +63,14 @@ def test_generator_matches_golden_trace(golden_lines):
 
 
 def test_sharded_generator_matches_golden_trace(golden_lines):
-    sharded = generate_trace_parallel(
+    sharded = generate_columnar_parallel(
         GOLDEN_USERS,
         n_pc_only_users=GOLDEN_PC_USERS,
         options=GOLDEN_OPTIONS,
         seed=GOLDEN_SEED,
         n_shards=3,
         n_workers=1,
-    )
+    ).to_records()
     assert [record_to_tsv(r) for r in sharded] == golden_lines
 
 

@@ -1,5 +1,7 @@
 """Tests for the struct-of-arrays trace (`repro.logs.columnar`)."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,13 +16,17 @@ from repro.logs import (
     RequestKind,
     ResultCode,
     as_columnar,
+    open_reader,
     read_columnar,
     read_jsonl_columnar,
     read_tsv_columnar,
+    record_to_dict,
+    record_to_tsv,
     write_jsonl,
     write_tsv,
 )
 from repro.logs.columnar import COLUMNS
+from repro.logs.io import TSV_COLUMNS
 from repro.workload.generator import GeneratorOptions, generate_trace
 
 SAMPLE = [
@@ -118,6 +124,13 @@ def test_roundtrip_preserves_float_precision():
     )
     back = ColumnarTrace.from_records([oddball]).to_records()[0]
     assert back == oddball  # exact, not approx: float64 end to end
+
+
+def test_record_materializes_one_row(generated):
+    trace = ColumnarTrace.from_records(generated)
+    for i in (0, len(trace) // 2, -1):
+        assert trace.record(i) == generated[i]
+        assert trace.record(i).session_id == generated[i].session_id
 
 
 def test_empty_trace():
@@ -278,3 +291,59 @@ def test_device_ids_shared_pool():
     trace = as_columnar(SAMPLE)
     assert list(trace.device_ids()) == ["abc", "def", "abc"]
     assert len(trace.device_pool) == 2
+
+
+#: One way to break each LogRecord invariant: (SAMPLE row, field, value,
+#: the message LogRecord raises).
+INVARIANT_BREAKS = [
+    (1, "volume", -5, "volume must be >= 0"),
+    (1, "processing_time", -1.5, "processing_time must be >= 0"),
+    (1, "rtt", -0.25, "rtt must be >= 0"),
+    (0, "volume", 10, "file operations carry no payload"),
+    (2, "volume", 10, "failed requests carry no payload"),
+]
+
+
+def serialize(suffix, record, **overrides):
+    """``record`` as one line of ``suffix``'s format, fields overridden."""
+    if suffix == ".jsonl":
+        return json.dumps({**record_to_dict(record), **overrides})
+    parts = record_to_tsv(record).split("\t")
+    for field, value in overrides.items():
+        parts[TSV_COLUMNS.index(field)] = str(value)
+    return "\t".join(parts)
+
+
+def write_lines(path, records, bad_index, field, value):
+    """Write ``records`` to ``path`` with ``field = value`` on row ``bad_index``."""
+    lines = [
+        serialize(path.suffix, record, **({field: value} if index == bad_index else {}))
+        for index, record in enumerate(records)
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("suffix", [".tsv", ".jsonl"])
+@pytest.mark.parametrize(("row", "field", "value", "message"), INVARIANT_BREAKS)
+def test_bulk_readers_enforce_record_invariants(
+    tmp_path, suffix, row, field, value, message
+):
+    """A line the record reader rejects, the columnar reader rejects too."""
+    path = tmp_path / f"bad{suffix}"
+    write_lines(path, SAMPLE, row, field, value)
+    with pytest.raises(ValueError, match=message):
+        list(open_reader(path))
+    with pytest.raises(ValueError, match=f"row {row}: {message}"):
+        read_columnar(path)
+
+
+@pytest.mark.parametrize(
+    "reader", [read_tsv_columnar, read_jsonl_columnar], ids=["tsv", "jsonl"]
+)
+def test_bulk_reader_error_names_the_file_row(tmp_path, reader):
+    """The reported row counts from the file's first record, not the chunk's."""
+    suffix = ".tsv" if reader is read_tsv_columnar else ".jsonl"
+    path = tmp_path / f"bad{suffix}"
+    write_lines(path, SAMPLE * 3, 7, "volume", -5)
+    with pytest.raises(ValueError, match="row 7: volume must be >= 0"):
+        reader(path, chunk_lines=2)

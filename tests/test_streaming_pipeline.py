@@ -11,8 +11,8 @@ Three layers, matching the tentpole's structure:
   must equal the whole-trace in-memory engine bit for bit, at every
   block size, including the exact interval values;
 * the end-to-end sharded generator (`generate_columnar_sharded`) — the
-  merged part stream reproduces `generate_columnar_parallel` byte for
-  byte and analyzes to the same digest, for any shard/worker count.
+  merged part stream reproduces the serial generator's records and
+  analyzes to the same digest, for any shard/worker count.
 """
 
 import numpy as np
@@ -40,7 +40,6 @@ from repro.workload.generator import GeneratorOptions, generate_trace
 from repro.workload.parallel import (
     generate_columnar_parallel,
     generate_columnar_sharded,
-    generate_sharded,
 )
 from tests.test_columnar_parts import assert_traces_equal
 from tests.test_logs_columnar import valid_record
@@ -242,7 +241,7 @@ def test_streaming_digest_property(records):
 
 def test_sharded_stream_reproduces_parallel_trace(tmp_path):
     kwargs = dict(n_pc_only_users=6, options=OPTIONS, seed=3)
-    reference_records = None
+    reference_records = generate_trace(30, **kwargs)
     for n_shards in (1, 3):
         # Byte identity (device pool included) holds against the
         # same-shard-count in-memory path; across shard counts the pool
@@ -261,10 +260,7 @@ def test_sharded_stream_reproduces_parallel_trace(tmp_path):
         assert len(sharded.paths) == n_shards
         merged = collect(sharded.merged_blocks(block_rows=64))
         assert_traces_equal(merged, reference)
-        if reference_records is None:
-            reference_records = merged.to_records()
-        else:
-            assert merged.to_records() == reference_records
+        assert merged.to_records() == reference_records
 
 
 def test_sharded_digest_invariant_across_workers(tmp_path):
@@ -325,27 +321,25 @@ def test_streaming_analyzer_incremental_feed(tmp_path):
 
 
 def test_shard_part_columnar_reader(tmp_path):
-    """`ShardPart.columnar()` bulk-parses a text part to the same trace."""
-    sharded = generate_sharded(
-        16,
-        n_pc_only_users=4,
-        options=OPTIONS,
-        seed=2,
-        n_shards=2,
-        n_workers=1,
-        part_dir=tmp_path,
-        part_format="tsv",
+    """`ColumnarShardPart.open()` reads back exactly the shard's users'
+    records, in the serial generator's order."""
+    kwargs = dict(n_pc_only_users=4, options=OPTIONS, seed=2)
+    serial = generate_trace(16, **kwargs)
+    sharded = generate_columnar_sharded(
+        16, n_shards=2, n_workers=1, part_dir=tmp_path, **kwargs
     )
     for part in sharded.parts:
-        bulk = part.columnar()
-        via_records = ColumnarTrace.from_records(list(part))
-        assert bulk.to_records() == via_records.to_records()
+        assert part.open().to_records() == [
+            r for r in serial if r.user_id % 2 == part.shard_index
+        ]
 
 
-def test_shard_part_columnar_reader_in_memory():
-    sharded = generate_sharded(
-        10, n_pc_only_users=2, options=OPTIONS, seed=2, n_shards=2, n_workers=1
+def test_shard_part_columnar_reader_in_memory(tmp_path):
+    sharded = generate_columnar_sharded(
+        10, n_pc_only_users=2, options=OPTIONS, seed=2, n_shards=2,
+        n_workers=1, part_dir=tmp_path,
     )
     for part in sharded.parts:
-        assert part.path is None
-        assert part.columnar().to_records() == list(part)
+        loaded = part.open(mmap=False)
+        assert not isinstance(loaded.timestamp, np.memmap)
+        assert_traces_equal(loaded, part.open())

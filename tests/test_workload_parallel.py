@@ -1,11 +1,12 @@
 """Sharded parallel generation: determinism-equivalence harness.
 
 The contract under test (see ``docs/SCALING.md``): for a fixed master
-seed the sharded engine produces a trace record-for-record identical to
-the serial generator, for every shard count and worker count, whether
-shards stay in memory or round-trip through part files.
+seed the sharded engine writes columnar parts whose merged stream is
+record-for-record the serial generator's trace, in its order, for every
+shard count and worker count.
 """
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,20 +14,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import assert_traces_equivalent, canonical_lines
+from tests.test_columnar_parts import assert_traces_equal
+from repro.logs.columnar import ColumnarTrace
+from repro.logs.io import open_reader, write_jsonl, write_tsv
 from repro.workload import (
     GeneratorOptions,
     ShardTask,
-    generate_shard,
-    generate_sharded,
+    generate_columnar_parallel,
     generate_trace,
-    generate_trace_parallel,
-    generate_trace_to_file,
-    merge_key,
-    merge_shards,
     partition_users,
     shard_of_user,
 )
-from repro.logs.io import open_reader
+from repro.workload.parallel import (
+    _generate_shard_part,
+    build_population,
+    generate_columnar_sharded,
+)
 
 N_USERS = 120
 N_PC_USERS = 25
@@ -49,6 +52,10 @@ def sharded_kwargs(**overrides):
     return kwargs
 
 
+def user_time_keys(trace: ColumnarTrace) -> list[tuple[int, float]]:
+    return list(zip(trace.user_id.tolist(), trace.timestamp.tolist()))
+
+
 # ----------------------------------------------------------------------
 # Serial == sharded equivalence
 # ----------------------------------------------------------------------
@@ -59,23 +66,23 @@ def sharded_kwargs(**overrides):
     [(1, 1), (2, 1), (4, 1), (2, 2), (4, 2)],
 )
 def test_sharded_equals_serial(serial_trace, n_shards, n_workers):
-    parallel = generate_trace_parallel(
+    parallel = generate_columnar_parallel(
         N_USERS,
         **sharded_kwargs(n_shards=n_shards, n_workers=n_workers),
     )
     assert_traces_equivalent(
         serial_trace,
-        parallel,
+        parallel.to_records(),
         label=f"shards={n_shards} workers={n_workers}",
     )
 
 
 def test_parallel_reconstructs_serial_order_exactly(serial_trace):
-    """In-memory mode returns the serial list itself: same records, same
+    """The merged parts are the serial list itself: same records, same
     order, same session ids (which ``LogRecord.__eq__`` ignores)."""
-    parallel = generate_trace_parallel(
+    parallel = generate_columnar_parallel(
         N_USERS, **sharded_kwargs(n_shards=4, n_workers=2)
-    )
+    ).to_records()
     assert parallel == serial_trace
     assert [r.session_id for r in parallel] == [
         r.session_id for r in serial_trace
@@ -84,32 +91,29 @@ def test_parallel_reconstructs_serial_order_exactly(serial_trace):
 
 @pytest.mark.parametrize("part_format", ["tsv", "jsonl"])
 def test_file_backed_shards_equal_serial(serial_trace, tmp_path, part_format):
-    sharded = generate_sharded(
+    """Parts on disk, merged and exported as text, read back as serial."""
+    sharded = generate_columnar_sharded(
         N_USERS,
         **sharded_kwargs(n_shards=3, n_workers=2),
-        part_dir=tmp_path,
-        part_format=part_format,
+        part_dir=tmp_path / "parts",
     )
     assert sharded.n_records == len(serial_trace)
     assert len(sharded.paths) == 3
+    out = tmp_path / f"trace.{part_format}"
+    writer = write_jsonl if part_format == "jsonl" else write_tsv
+    writer(
+        (r for block in sharded.merged_blocks() for r in block.iter_records()),
+        out,
+    )
     assert_traces_equivalent(
-        serial_trace, sharded.merged(), label=f"file-backed {part_format}"
+        serial_trace, open_reader(out), label=f"file-backed {part_format}"
     )
-
-
-def test_generate_trace_to_file_equal_serial(serial_trace, tmp_path):
-    out = tmp_path / "trace.tsv"
-    count = generate_trace_to_file(
-        out, N_USERS, **sharded_kwargs(n_shards=4, n_workers=2)
-    )
-    assert count == len(serial_trace)
-    assert_traces_equivalent(serial_trace, open_reader(out), label="to-file")
 
 
 def test_different_seeds_produce_different_sharded_traces():
-    a = generate_trace_parallel(40, options=OPTIONS, seed=1, n_shards=2)
-    b = generate_trace_parallel(40, options=OPTIONS, seed=2, n_shards=2)
-    assert canonical_lines(a) != canonical_lines(b)
+    a = generate_columnar_parallel(40, options=OPTIONS, seed=1, n_shards=2)
+    b = generate_columnar_parallel(40, options=OPTIONS, seed=2, n_shards=2)
+    assert canonical_lines(a.to_records()) != canonical_lines(b.to_records())
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_different_seeds_produce_different_sharded_traces():
 # ----------------------------------------------------------------------
 
 
-def shard_task(index, n_shards, path):
+def shard_task(index, n_shards, path, users=None):
     return ShardTask(
         shard_index=index,
         n_shards=n_shards,
@@ -126,62 +130,66 @@ def shard_task(index, n_shards, path):
         config=None,
         options=OPTIONS,
         seed=SEED,
-        path=path,
+        path=str(path),
+        users=users,
     )
 
 
+def part_bytes(path) -> dict[str, bytes]:
+    return {f.name: f.read_bytes() for f in sorted(Path(path).iterdir())}
+
+
 def test_shard_rerun_is_bit_identical(tmp_path):
-    """Re-running one shard task writes a byte-identical part file."""
-    first = tmp_path / "a.tsv"
-    second = tmp_path / "b.tsv"
-    part_a = generate_shard(shard_task(1, 3, str(first)))
-    part_b = generate_shard(shard_task(1, 3, str(second)))
-    assert part_a.n_records == part_b.n_records
-    assert part_a.n_users == part_b.n_users
-    assert first.read_bytes() == second.read_bytes()
+    """Re-running one shard task writes a byte-identical part, and a
+    worker that rebuilds the population (``users=None``) writes the part
+    the prebuilt-users task writes."""
+    population = build_population(
+        N_USERS, n_pc_only_users=N_PC_USERS, seed=SEED
+    )
+    users = tuple(partition_users(population, 3)[1])
+    part_a = _generate_shard_part(shard_task(1, 3, tmp_path / "a.cols"))
+    part_b = _generate_shard_part(shard_task(1, 3, tmp_path / "b.cols"))
+    part_c = _generate_shard_part(shard_task(1, 3, tmp_path / "c.cols", users))
+    assert part_a.n_records == part_b.n_records == part_c.n_records > 0
+    assert part_a.n_users == part_b.n_users == part_c.n_users == len(users)
+    assert part_bytes(part_a.path) == part_bytes(part_b.path)
+    assert part_bytes(part_a.path) == part_bytes(part_c.path)
 
 
-def test_in_memory_shard_rerun_identical():
-    part_a = generate_shard(shard_task(0, 4, None))
-    part_b = generate_shard(shard_task(0, 4, None))
-    assert part_a.records == part_b.records
-    assert [r.session_id for r in part_a.records] == [
-        r.session_id for r in part_b.records
-    ]
-
-
-def test_part_files_sorted_by_merge_key(tmp_path):
+def test_part_files_sorted_by_user_time(tmp_path):
     for index in range(3):
-        part = generate_shard(
-            shard_task(index, 3, str(tmp_path / f"part-{index}.tsv"))
+        part = _generate_shard_part(
+            shard_task(index, 3, tmp_path / f"part-{index}.cols")
         )
-        keys = [merge_key(r) for r in open_reader(part.path)]
+        keys = user_time_keys(part.open())
         assert keys == sorted(keys)
+        assert {uid % 3 for uid, _ in keys} == {index}
 
 
 def test_merge_stream_is_globally_sorted(tmp_path):
-    sharded = generate_sharded(
+    sharded = generate_columnar_sharded(
         N_USERS,
         **sharded_kwargs(n_shards=4, n_workers=1),
         part_dir=tmp_path,
     )
-    previous = None
-    count = 0
-    for record in merge_shards(sharded.paths):
-        key = merge_key(record)
-        if previous is not None:
-            assert key >= previous
-        previous = key
-        count += 1
-    assert count == sharded.n_records
-
-
-def test_merged_iterator_streams_in_memory_parts():
-    sharded = generate_sharded(
-        N_USERS, **sharded_kwargs(n_shards=2, n_workers=1)
-    )
-    keys = [merge_key(r) for r in sharded.merged()]
+    keys = [
+        key
+        for block in sharded.merged_blocks(block_rows=97)
+        for key in user_time_keys(block)
+    ]
     assert keys == sorted(keys)
+    assert len(keys) == sharded.n_records
+
+
+def test_merged_iterator_streams_in_memory_parts(tmp_path):
+    """``mmap=False`` loads the parts into memory; same merged stream."""
+    sharded = generate_columnar_sharded(
+        N_USERS, **sharded_kwargs(n_shards=2, n_workers=1), part_dir=tmp_path
+    )
+    in_memory = sharded.merged_blocks(block_rows=97, mmap=False)
+    mapped = sharded.merged_blocks(block_rows=97)
+    for loaded, mapped_block in zip(in_memory, mapped, strict=True):
+        assert_traces_equal(loaded, mapped_block)
 
 
 # ----------------------------------------------------------------------
@@ -259,24 +267,17 @@ def test_invalid_shard_count_rejected():
     with pytest.raises(ValueError, match="n_shards"):
         shard_of_user(3, 0)
     with pytest.raises(ValueError, match="n_shards"):
-        generate_sharded(10, n_shards=0)
+        generate_columnar_parallel(10, n_shards=0)
 
 
 def test_invalid_worker_count_rejected():
     with pytest.raises(ValueError, match="n_workers"):
-        generate_sharded(10, n_shards=2, n_workers=0)
-
-
-def test_invalid_part_format_rejected(tmp_path):
-    with pytest.raises(ValueError, match="part format"):
-        generate_sharded(
-            10, n_shards=2, part_dir=tmp_path, part_format="csv"
-        )
+        generate_columnar_parallel(10, n_shards=2, n_workers=0)
 
 
 def test_more_shards_than_users_still_equivalent():
     serial = generate_trace(3, options=OPTIONS, seed=5)
-    parallel = generate_trace_parallel(
+    parallel = generate_columnar_parallel(
         3, options=OPTIONS, seed=5, n_shards=8, n_workers=1
     )
-    assert_traces_equivalent(serial, parallel, label="shards>users")
+    assert_traces_equivalent(serial, parallel.to_records(), label="shards>users")
