@@ -20,7 +20,7 @@ in the paper's Fig 2.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,7 +30,7 @@ from ..logs.columnar import (
     STORE_CODE,
     ColumnarTrace,
 )
-from ..logs.schema import Direction, DeviceType, LogRecord
+from ..logs.schema import Direction, DeviceType, LogRecord, RequestKind
 from ..logs.stream import group_by_user
 from ..stats.gmm import GaussianMixture, fit_gmm
 
@@ -45,16 +45,64 @@ class SessionType(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass
+def _tally_field():
+    return field(init=False, repr=False, compare=False)
+
+
+@dataclass(slots=True)
 class Session:
-    """One recovered session: a user's requests between long op gaps."""
+    """One recovered session: a user's requests between long op gaps.
+
+    Construction walks ``records`` once and keeps the tally below;
+    ``records`` must not change afterwards.  The tally holds references
+    into ``records`` where it can instead of new floats, so sessions cost
+    no more memory than the per-access properties did.
+    """
 
     user_id: int
     records: list[LogRecord]
+    n_store_ops: int = _tally_field()
+    n_retrieve_ops: int = _tally_field()
+    #: Chunk volume moved in each direction.
+    store_volume: int = _tally_field()
+    retrieve_volume: int = _tally_field()
+    _first_op: LogRecord | None = _tally_field()
+    _last_op: LogRecord | None = _tally_field()
+    #: The first record attaining the largest ``timestamp + processing_time``.
+    _last_to_finish: LogRecord = _tally_field()
 
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("a session needs at least one record")
+        file_op, store = RequestKind.FILE_OP, Direction.STORE
+        n_store = n_retrieve = store_volume = retrieve_volume = 0
+        first_op = last_op = None
+        last_to_finish = self.records[0]
+        end = last_to_finish.timestamp + last_to_finish.processing_time
+        for r in self.records:
+            if r.kind is file_op:
+                if first_op is None:
+                    first_op = r
+                last_op = r
+                if r.direction is store:
+                    n_store += 1
+                else:
+                    n_retrieve += 1
+            elif r.direction is store:
+                store_volume += r.volume
+            else:
+                retrieve_volume += r.volume
+            finish = r.timestamp + r.processing_time
+            if finish > end:
+                end = finish
+                last_to_finish = r
+        self.n_store_ops = n_store
+        self.n_retrieve_ops = n_retrieve
+        self.store_volume = store_volume
+        self.retrieve_volume = retrieve_volume
+        self._first_op = first_op
+        self._last_op = last_op
+        self._last_to_finish = last_to_finish
 
     @property
     def file_ops(self) -> list[LogRecord]:
@@ -71,7 +119,8 @@ class Session:
     @property
     def end(self) -> float:
         """End of the session: last request plus its processing time."""
-        return max(r.timestamp + r.processing_time for r in self.records)
+        last = self._last_to_finish
+        return last.timestamp + last.processing_time
 
     @property
     def length(self) -> float:
@@ -81,34 +130,13 @@ class Session:
     @property
     def operating_time(self) -> float:
         """Time between the first and last file operation (Fig 4)."""
-        ops = self.file_ops
-        if not ops:
+        if self._first_op is None:
             return 0.0
-        return ops[-1].timestamp - ops[0].timestamp
-
-    @property
-    def n_store_ops(self) -> int:
-        return sum(1 for r in self.file_ops if r.direction is Direction.STORE)
-
-    @property
-    def n_retrieve_ops(self) -> int:
-        return sum(1 for r in self.file_ops if r.direction is Direction.RETRIEVE)
+        return self._last_op.timestamp - self._first_op.timestamp
 
     @property
     def n_ops(self) -> int:
         return self.n_store_ops + self.n_retrieve_ops
-
-    @property
-    def store_volume(self) -> int:
-        return sum(
-            r.volume for r in self.chunks if r.direction is Direction.STORE
-        )
-
-    @property
-    def retrieve_volume(self) -> int:
-        return sum(
-            r.volume for r in self.chunks if r.direction is Direction.RETRIEVE
-        )
 
     @property
     def volume(self) -> int:
@@ -143,10 +171,11 @@ def file_operation_intervals(records: Iterable[LogRecord]) -> np.ndarray:
     log-scale model stays defined.
     """
     intervals: list[float] = []
+    file_op = RequestKind.FILE_OP
     for user_records in group_by_user(records).values():
         previous: float | None = None
         for record in user_records:
-            if not record.is_file_op:
+            if record.kind is not file_op:
                 continue
             if previous is not None:
                 intervals.append(max(1e-3, record.timestamp - previous))
@@ -237,24 +266,25 @@ def sessionize_user(
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    sessions: list[Session] = []
-    current: list[LogRecord] = []
+    # Each session is the run of records between two cuts; a slice gives it
+    # an exact-size record list.
+    cuts = [0]
     last_op: float | None = None
-    for record in user_records:
-        if record.is_file_op:
+    file_op = RequestKind.FILE_OP
+    for index, record in enumerate(user_records):
+        if record.kind is file_op:
             if last_op is not None and record.timestamp - last_op > tau:
-                if current:
-                    sessions.append(
-                        Session(user_id=record.user_id, records=current)
-                    )
-                current = []
+                cuts.append(index)
             last_op = record.timestamp
-        current.append(record)
-    if current:
-        sessions.append(Session(user_id=current[0].user_id, records=current))
+    cuts.append(len(user_records))
+    sessions = [
+        Session(user_id=user_records[lo].user_id, records=user_records[lo:hi])
+        for lo, hi in zip(cuts, cuts[1:])
+        if hi > lo
+    ]
     # Sessions whose records are all chunks (no ops at all) are dropped, as
     # the paper's definition anchors sessions on file operations.
-    return (s for s in sessions if s.file_ops)
+    return (s for s in sessions if s.n_ops)
 
 
 def sessionize(

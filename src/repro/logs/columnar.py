@@ -425,10 +425,6 @@ class ColumnarTrace:
         """
         return self.select(np.lexsort((self.timestamp, self.user_id)))
 
-    def sorted_by_time(self) -> "ColumnarTrace":
-        """Rows stably reordered by ``(timestamp, user_id)`` (merge order)."""
-        return self.select(np.lexsort((self.user_id, self.timestamp)))
-
     @classmethod
     def concatenate(cls, traces: Sequence["ColumnarTrace"]) -> "ColumnarTrace":
         """Stack traces row-wise, merging device pools and remapping codes."""
@@ -529,19 +525,16 @@ def merge_columnar_sorted(
     sources: Sequence[ColumnarTrace],
     *,
     block_rows: int = DEFAULT_MERGE_BLOCK_ROWS,
-    order: str = "user_time",
 ) -> Iterator[ColumnarTrace]:
     """Memory-bounded k-way merge of sorted columnar sources.
 
-    Each source must already be sorted by the requested ``order`` —
-    ``"user_time"`` for ``(user_id, timestamp)`` (what
+    Each source must already be sorted by ``(user_id, timestamp)`` (what
     :meth:`ColumnarTrace.sorted_by_user_time` produces and the sharded
-    generator writes) or ``"time"`` for ``(timestamp, user_id)``.  The
-    concatenation of the yielded blocks is **byte-identical** to
-    ``ColumnarTrace.concatenate(sources).sorted_by_user_time()`` (resp.
-    ``.sorted_by_time()``): same rows, same order, same device pool —
-    ties across sources resolve in source order exactly as a stable
-    lexsort over the concatenation would.
+    generator writes).  The concatenation of the yielded blocks is
+    **byte-identical** to
+    ``ColumnarTrace.concatenate(sources).sorted_by_user_time()``: same
+    rows, same order, same device pool — ties across sources resolve in
+    source order exactly as a stable lexsort over the concatenation would.
 
     Peak scratch is ``O(block_rows × len(sources))`` rows: the merge
     buffers one window of at most ``block_rows`` rows per source (a
@@ -553,12 +546,6 @@ def merge_columnar_sorted(
     """
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    if order == "user_time":
-        primary_name, secondary_name = "user_id", "timestamp"
-    elif order == "time":
-        primary_name, secondary_name = "timestamp", "user_id"
-    else:
-        raise ValueError(f"unknown merge order: {order!r}")
     live = [t for t in sources if len(t)]
 
     # One part-wide device pool, first-appearance order across sources —
@@ -577,8 +564,8 @@ def merge_columnar_sorted(
             lookups.append(None)
     device_pool = tuple(pool)
 
-    primary = [getattr(t, primary_name) for t in live]
-    secondary = [getattr(t, secondary_name) for t in live]
+    primary = [t.user_id for t in live]
+    secondary = [t.timestamp for t in live]
     lengths = [len(t) for t in live]
     heads = [0] * len(live)
 
@@ -645,9 +632,7 @@ def merge_columnar_sorted(
         )
         # Pieces are gathered in source order, so the stable lexsort
         # resolves equal keys exactly like sorting the concatenation.
-        emit_order = np.lexsort(
-            (columns[secondary_name], columns[primary_name])
-        )
+        emit_order = np.lexsort((columns["timestamp"], columns["user_id"]))
         yield ColumnarTrace._from_columns(
             {name: column[emit_order] for name, column in columns.items()},
             device_pool=device_pool,

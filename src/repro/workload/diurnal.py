@@ -9,6 +9,8 @@ off-peak structure that the upload-deferral ablation exploits.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .config import DiurnalModel
@@ -26,14 +28,13 @@ class DiurnalSampler:
             raise ValueError("need exactly 24 hourly weights")
         self.model = model
         self._probs = weights / weights.sum()
-        self._cum = np.concatenate(([0.0], np.cumsum(self._probs)))
+        self._cum = np.concatenate(([0.0], np.cumsum(self._probs))).tolist()
 
     def sample_time_of_day(self, rng: np.random.Generator) -> float:
         """One start time in [0, 86400), uniform within the chosen hour."""
-        u = float(rng.uniform())
-        hour = int(np.searchsorted(self._cum, u, side="right")) - 1
+        hour = bisect_right(self._cum, rng.random()) - 1
         hour = min(23, max(0, hour))
-        return hour * SECONDS_PER_HOUR + float(rng.uniform()) * SECONDS_PER_HOUR
+        return hour * SECONDS_PER_HOUR + rng.random() * SECONDS_PER_HOUR
 
     def sample_timestamp(self, day: int, rng: np.random.Generator) -> float:
         """One absolute timestamp within observation day ``day``."""

@@ -24,6 +24,14 @@ Every user's record stream depends only on the master seed and their own
 namespace), so users can be generated in any order — or on any worker —
 and still produce bit-identical records.  :mod:`repro.workload.parallel`
 relies on this contract to shard generation across processes.
+
+Draws go through :mod:`repro.workload.sampling` where a scalar NumPy call
+would cost more than the sample: runs of same-distribution draws become one
+array draw, uniforms one ``rng.random()``, categorical choices a cached
+CDF.  The rule for every such rewrite: a batched draw must consume the
+stream exactly as the scalar draws it replaces, value for value, so the
+trace stays bit-identical.  The golden fixtures (``tests/data/``) and
+``tests/test_rng_equivalence.py`` are the guard.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from ..tcpsim.rto import paper_rto_estimate
 from .config import UserType, WorkloadConfig
 from .diurnal import SECONDS_PER_DAY, DiurnalSampler
 from .population import UserSpec, build_population
+from .sampling import lognormal_pairs, pow10_normals, uniform
 from .sessions import SessionClass, SessionPlan, SessionPlanner
 
 #: Session ids are namespaced per user: user ``u``'s ``k``-th session gets
@@ -222,7 +231,7 @@ class TraceGenerator:
                     self._emit_session(user, device.device_id, device.device_type,
                                        plan, base, session_id, rng)
                 )
-                base += float(rng.uniform(0.5 * gap_hi, gap_hi)) * 3600.0
+                base += uniform(rng, 0.5 * gap_hi, gap_hi) * 3600.0
         rows.sort(key=_by_timestamp)
         return rows
 
@@ -279,7 +288,7 @@ class TraceGenerator:
                 store_left -= len(plan.store_sizes)
                 retrieve_left -= len(plan.retrieve_sizes)
                 plans.append(plan)
-                if not last_day and float(rng.uniform()) < 0.9:
+                if not last_day and rng.random() < 0.9:
                     break  # leave the rest for later days
             if last_day and store_left > 0:
                 plans.append(
@@ -355,11 +364,11 @@ class TraceGenerator:
             want_pc = not next(iter(used_platforms))
             return pcs[0] if want_pc else mobile[0]
         if plan.session_class is SessionClass.RETRIEVE_ONLY:
-            if float(rng.uniform()) < 0.6:
+            if rng.random() < 0.6:
                 return pcs[0]
-        elif float(rng.uniform()) < 0.55:
+        elif rng.random() < 0.55:
             return mobile[int(rng.integers(0, len(mobile)))]
-        return pcs[0] if float(rng.uniform()) < 0.6 else mobile[0]
+        return pcs[0] if rng.random() < 0.6 else mobile[0]
 
     # ------------------------------------------------------------------
     # Emission
@@ -387,7 +396,7 @@ class TraceGenerator:
         # smaller multi-op sessions are batched with probability
         # p_batch_small, else the user drives them one file at a time.
         batch_mode = len(ops) > intervals.batch_threshold or (
-            len(ops) > 1 and float(rng.uniform()) < intervals.p_batch_small
+            len(ops) > 1 and rng.random() < intervals.p_batch_small
         )
         mean_log10, std_log10 = (
             (intervals.batch_mean_log10, intervals.batch_std_log10)
@@ -395,12 +404,12 @@ class TraceGenerator:
             else (intervals.within_mean_log10, intervals.within_std_log10)
         )
 
+        gaps = pow10_normals(rng, mean_log10, std_log10, len(ops) - 1)
         op_time = start
         op_times: list[tuple[float, Direction, int]] = []
         for index, (direction, size) in enumerate(ops):
             if index:
-                gap = 10.0 ** float(rng.normal(mean_log10, std_log10))
-                op_time += gap
+                op_time += gaps[index - 1]
             op_times.append((op_time, direction, size))
 
         device_code = DEVICE_CODE[device_type]
@@ -423,7 +432,7 @@ class TraceGenerator:
             profile = profile_for(device_type)
             transfer_clock = 0.0
             for when, direction, size in op_times:
-                start = max(when + float(rng.uniform(0.05, 0.3)), transfer_clock)
+                start = max(when + uniform(rng, 0.05, 0.3), transfer_clock)
                 transfer_clock = self._emit_chunks(
                     rows, user, device_id, device_code, profile, direction,
                     size, start, session_id, rng,
@@ -465,13 +474,14 @@ class TraceGenerator:
         bandwidth = user.bandwidth * (
             1.0 if is_store else self.config.network.downlink_factor
         )
-        tsrv_dist = self._server.tsrv
+        # Each chunk draws Tsrv then Tclt; all of a file's draws come at once.
+        tsrvs, tclts = lognormal_pairs(rng, self._server.tsrv, tclt_dist, n_records)
         transfer_time = self._transfer.transfer_time
         clock = start
         idle = 0.0
         for index, volume in enumerate(volumes):
             restarted = index > 0 and idle > rto
-            tsrv = float(tsrv_dist.sample(rng))
+            tsrv = tsrvs[index]
             ttran = transfer_time(volume, rtt, bandwidth, direction, restarted)
             tchunk = ttran + tsrv
             rows.append((
@@ -479,7 +489,7 @@ class TraceGenerator:
                 direction_code, volume, tchunk, tsrv, rtt, proxied, OK_CODE,
                 session_id,
             ))
-            tclt = float(tclt_dist.sample(rng))
+            tclt = tclts[index]
             clock += tchunk + tclt
             idle = tsrv + tclt
         return clock

@@ -231,11 +231,7 @@ class ColumnarShardedTrace:
         O(``block_rows`` × shards): sources are memory-mapped and the
         merge buffers one window per shard.
         """
-        return merge_columnar_sorted(
-            self.open_parts(mmap=mmap),
-            block_rows=block_rows,
-            order="user_time",
-        )
+        return merge_columnar_sorted(self.open_parts(mmap=mmap), block_rows=block_rows)
 
 
 def generate_columnar_sharded(

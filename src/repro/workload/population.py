@@ -10,12 +10,14 @@ Fig 8) and per-user network conditions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..logs.schema import DeviceType
 from .activity import assign_store_retrieve_counts
 from .config import DeviceGroup, UserType, WorkloadConfig
+from .sampling import categorical
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,16 @@ class UserSpec:
         return self.active_days[0]
 
 
+@lru_cache(maxsize=64)
+def _normalized(weights: tuple[float, ...]) -> tuple[float, ...]:
+    probs = np.asarray(weights, dtype=float)
+    probs /= probs.sum()
+    return tuple(probs.tolist())
+
+
 def _sample_type(shares: dict[UserType, float], rng: np.random.Generator) -> UserType:
     types = list(shares)
-    probs = np.asarray([shares[t] for t in types], dtype=float)
-    probs /= probs.sum()
-    return types[int(rng.choice(len(types), p=probs))]
+    return types[categorical(rng, _normalized(tuple(shares.values())))]
 
 
 def _sample_active_days(
@@ -73,16 +80,16 @@ def _sample_active_days(
     """First-activity day plus the bimodal return schedule of Fig 8."""
     if (
         config.observation_days == 1
-        or float(rng.uniform()) < config.first_day_cohort
+        or rng.random() < config.first_day_cohort
     ):
         first = 0
     else:
         first = int(rng.integers(1, config.observation_days))
     days = [first]
-    engaged = float(rng.uniform()) < config.engagement.p_engaged[group]
+    engaged = rng.random() < config.engagement.p_engaged[group]
     if engaged:
         for day in range(first + 1, config.observation_days):
-            if float(rng.uniform()) < config.engagement.p_daily:
+            if rng.random() < config.engagement.p_daily:
                 days.append(day)
     return tuple(days)
 
@@ -95,16 +102,16 @@ def _sample_devices(
 ) -> tuple[DeviceSpec, ...]:
     devices: list[DeviceSpec] = []
     if group is not DeviceGroup.PC_ONLY:
-        probs = np.asarray(config.devices.device_count_probs, dtype=float)
-        probs /= probs.sum()
         if group is DeviceGroup.MULTI_MOBILE:
-            n_mobile = 2 + int(rng.choice(2, p=(0.8, 0.2)))
+            n_mobile = 2 + categorical(rng, (0.8, 0.2))
         elif group is DeviceGroup.ONE_MOBILE:
             n_mobile = 1
         else:
-            n_mobile = 1 + int(rng.choice(len(probs), p=probs))
+            n_mobile = 1 + categorical(
+                rng, _normalized(tuple(config.devices.device_count_probs))
+            )
         for i in range(n_mobile):
-            is_android = float(rng.uniform()) < config.devices.android_share
+            is_android = rng.random() < config.devices.android_share
             devices.append(
                 DeviceSpec(
                     device_id=f"m{user_id:x}-{i}",
@@ -127,7 +134,7 @@ def _occasional_budget(rng: np.random.Generator) -> tuple[int, int]:
     session exists to bound the Fig 9 never-retrieve fraction near the
     paper's ~80%.
     """
-    if float(rng.uniform()) < 0.35:
+    if rng.random() < 0.35:
         return 1, 1
     return 1 + int(rng.integers(0, 2)), 0
 
@@ -159,17 +166,19 @@ def build_population(
     config = config or WorkloadConfig()
     rng = np.random.default_rng(seed)
 
+    rtt_mu = np.log(config.network.rtt_median)
+    bandwidth_mu = np.log(config.network.bandwidth_median)
     users: list[UserSpec] = []
     user_id = 0
     for _ in range(n_mobile_users):
         user_id += 1
-        uses_pc = float(rng.uniform()) < config.devices.pc_co_use
+        uses_pc = rng.random() < config.devices.pc_co_use
         if uses_pc:
             group = DeviceGroup.MOBILE_AND_PC
         else:
-            probs = np.asarray(config.devices.device_count_probs, dtype=float)
-            probs /= probs.sum()
-            n_mobile = 1 + int(rng.choice(len(probs), p=probs))
+            n_mobile = 1 + categorical(
+                rng, _normalized(tuple(config.devices.device_count_probs))
+            )
             group = (
                 DeviceGroup.ONE_MOBILE if n_mobile == 1 else DeviceGroup.MULTI_MOBILE
             )
@@ -177,7 +186,7 @@ def build_population(
         devices = _sample_devices(user_id, group, config, rng)
         active_days = _sample_active_days(config, group, rng)
         same_day_sync = user_type is UserType.MIXED and (
-            float(rng.uniform())
+            rng.random()
             < (
                 config.engagement.p_same_day_sync_pc
                 if group is DeviceGroup.MOBILE_AND_PC
@@ -193,21 +202,12 @@ def build_population(
                 active_days=active_days,
                 store_files=0,
                 retrieve_files=0,
-                rtt=float(
-                    rng.lognormal(
-                        np.log(config.network.rtt_median), config.network.rtt_sigma
-                    )
-                ),
+                rtt=float(rng.lognormal(rtt_mu, config.network.rtt_sigma)),
                 bandwidth=max(
                     30_000.0,
-                    float(
-                        rng.lognormal(
-                            np.log(config.network.bandwidth_median),
-                            config.network.bandwidth_sigma,
-                        )
-                    ),
+                    float(rng.lognormal(bandwidth_mu, config.network.bandwidth_sigma)),
                 ),
-                proxied=float(rng.uniform()) < config.network.proxied_fraction,
+                proxied=rng.random() < config.network.proxied_fraction,
                 same_day_sync=same_day_sync,
             )
         )
@@ -229,7 +229,7 @@ def build_population(
                 bandwidth=max(
                     100_000.0, float(rng.lognormal(np.log(1_500_000.0), 0.6))
                 ),
-                proxied=float(rng.uniform()) < config.network.proxied_fraction,
+                proxied=rng.random() < config.network.proxied_fraction,
             )
         )
 

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .config import MB, FileSizeModel, SessionMixModel
+from .sampling import categorical
 
 
 class SessionClass(enum.Enum):
@@ -53,7 +55,7 @@ def sample_ops_count(
     """Number of file operations in a session (Fig 5a shape)."""
     cap = max_ops if max_ops is not None else mix.max_ops
     cap = max(1, cap)
-    u = float(rng.uniform())
+    u = rng.random()
     if u < mix.single_op_fraction or cap == 1:
         return 1
     if u < 1.0 - mix.large_fraction:
@@ -65,11 +67,16 @@ def sample_ops_count(
     return min(cap, min(mix.max_ops, int(tail)))
 
 
+@lru_cache(maxsize=64)
+def _component_probs(weights: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple((np.asarray(weights) / sum(weights)).tolist())
+
+
 def sample_size_component(
     weights: tuple[float, ...], rng: np.random.Generator
 ) -> int:
     """Pick a size-mixture component index by weight."""
-    return int(rng.choice(len(weights), p=np.asarray(weights) / sum(weights)))
+    return categorical(rng, _component_probs(tuple(weights)))
 
 
 def sample_average_file_size(
@@ -139,7 +146,7 @@ class SessionPlanner:
         if can_retrieve and not can_store:
             return SessionClass.RETRIEVE_ONLY
         total = self.mix.store_only + self.mix.retrieve_only + self.mix.mixed
-        u = float(rng.uniform()) * total
+        u = rng.random() * total
         if u < self.mix.store_only:
             return SessionClass.STORE_ONLY
         if u < self.mix.store_only + self.mix.retrieve_only:
@@ -179,7 +186,7 @@ class SessionPlanner:
             # which is what pushes the single-file retrieve session mean
             # toward the paper's ~70 MB).
             if component > 0 and large_cap is not None:
-                if not is_store and float(rng.uniform()) < 0.35:
+                if not is_store and rng.random() < 0.35:
                     n = 1
                 else:
                     n = min(n, large_cap)

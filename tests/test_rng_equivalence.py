@@ -1,0 +1,185 @@
+"""The generator's batched and cached draws against the NumPy calls they replace.
+
+Each helper in :mod:`repro.workload.sampling` must return bit-identical
+values and leave ``rng.bit_generator.state`` exactly where the scalar
+:class:`numpy.random.Generator` calls would.  The golden trace fixtures
+catch a drift only as a moved digest; these tests name the NumPy
+definition that stopped holding.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.tcpsim.devices import Lognormal
+from repro.workload.sampling import (
+    categorical,
+    lognormal_pairs,
+    pow10_normals,
+    uniform,
+)
+
+seeds = st.integers(0, 2**32 - 1)
+finite = st.floats(-5.0, 5.0, allow_nan=False)
+sigmas = st.floats(0.0, 3.0, allow_nan=False)
+lognormals = st.builds(Lognormal, median=st.floats(1e-3, 1e3), sigma=sigmas)
+
+
+def bits(values) -> list[str]:
+    """Bitwise identity of floats (``==`` would equate -0.0 and 0.0)."""
+    return [float(v).hex() for v in values]
+
+
+def twin(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@given(seed=seeds, first=lognormals, second=lognormals, n=st.integers(0, 80))
+@settings(max_examples=200)
+def test_lognormal_pairs_match_alternating_scalar_samples(seed, first, second, n):
+    scalar, batched = twin(seed)
+    expected_first, expected_second = [], []
+    for _ in range(n):
+        expected_first.append(float(first.sample(scalar)))
+        expected_second.append(float(second.sample(scalar)))
+    got_first, got_second = lognormal_pairs(batched, first, second, n)
+    assert bits(got_first) == bits(expected_first)
+    assert bits(got_second) == bits(expected_second)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@given(seed=seeds, mean=finite, std=sigmas, n=st.integers(-1, 80))
+@settings(max_examples=200)
+def test_pow10_normals_match_scalar_normal_calls(seed, mean, std, n):
+    scalar, batched = twin(seed)
+    expected = [10.0 ** float(scalar.normal(mean, std)) for _ in range(n)]
+    assert bits(pow10_normals(batched, mean, std, n)) == bits(expected)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@given(
+    seed=seeds,
+    low=st.floats(-1e6, 1e6, allow_nan=False),
+    width=st.floats(0.0, 1e6, allow_nan=False),
+    n=st.integers(1, 20),
+)
+@settings(max_examples=200)
+def test_uniform_matches_scalar_uniform(seed, low, width, n):
+    high = low + width
+    scalar, batched = twin(seed)
+    expected = [float(scalar.uniform(low, high)) for _ in range(n)]
+    assert bits(uniform(batched, low, high) for _ in range(n)) == bits(expected)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@given(seed=seeds, n=st.integers(1, 20))
+def test_argless_uniform_is_random(seed, n):
+    scalar, batched = twin(seed)
+    expected = [float(scalar.uniform()) for _ in range(n)]
+    assert bits(batched.random() for _ in range(n)) == bits(expected)
+    assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+def normalized(weights: list[float]) -> tuple[float, ...]:
+    probs = np.asarray(weights, dtype=float)
+    probs /= probs.sum()
+    return tuple(probs.tolist())
+
+
+weight_vectors = st.lists(
+    st.floats(0.0, 10.0, allow_nan=False), min_size=1, max_size=12
+).filter(lambda w: sum(w) > 0)
+
+
+@given(seed=seeds, weights=weight_vectors, n=st.integers(1, 30))
+@settings(max_examples=300)
+def test_categorical_matches_choice(seed, weights, n):
+    p = normalized(weights)
+    scalar, cached = twin(seed)
+    expected = [int(scalar.choice(len(p), p=p)) for _ in range(n)]
+    assert [categorical(cached, p) for _ in range(n)] == expected
+    assert cached.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (0.8, 0.2),  # the multi-mobile device count, passed unnormalized
+        (0.0, 1.0),  # a zero-weight head is never drawn
+        (0.5, 0.5, 0.0),  # a zero-weight tail is never drawn
+        (1.0,),
+        (0.5, 0.5 + 1e-9),  # off by less than NumPy's tolerance
+    ],
+)
+def test_categorical_matches_choice_on_edge_vectors(p):
+    scalar, cached = twin(7)
+    expected = [int(scalar.choice(len(p), p=p)) for _ in range(500)]
+    assert [categorical(cached, p) for _ in range(500)] == expected
+    assert cached.bit_generator.state == scalar.bit_generator.state
+
+
+#: PCG64's 128-bit LCG multiplier.
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def rng_yielding(u: float) -> np.random.Generator:
+    """A PCG64 generator whose next ``random()`` is exactly ``u``.
+
+    ``random()`` is the top 53 bits of the next output; PCG64 steps its
+    state and then outputs ``rotr(hi ^ lo, hi >> 122)``, so the state
+    ``(0, bits)`` outputs ``bits``.  Step back once from it.
+    """
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    target = int(u * 2**53) << 11
+    state["state"]["state"] = (
+        (target - state["state"]["inc"]) * pow(PCG64_MULTIPLIER, -1, 2**128)
+    ) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+@pytest.mark.parametrize(
+    "p, u",
+    [
+        ((0.5, 0.5), 0.5),
+        ((0.25, 0.25, 0.25, 0.25), 0.25),
+        ((0.25, 0.25, 0.25, 0.25), 0.75),
+        ((0.0, 1.0), 0.0),
+        ((0.0, 0.0, 1.0), 0.0),
+    ],
+)
+def test_categorical_breaks_ties_like_choice(p, u):
+    """A draw landing exactly on a CDF step goes right, as in ``choice``."""
+    assert rng_yielding(u).random() == u
+    assert categorical(rng_yielding(u), p) == int(rng_yielding(u).choice(len(p), p=p))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        (),
+        ((0.5, 0.5),),
+        (0.5, math.nan),
+        (math.inf, -math.inf),  # Kahan-sums to NaN without holding one
+        (1.5, -0.5),
+        (-math.inf, 1.0),
+        (0.5, 0.6),
+        (math.inf, 0.0),
+        (0.0, 0.0),
+        (0.5, 0.5 + 1e-7),  # off by more than NumPy's tolerance
+    ],
+)
+def test_categorical_rejects_what_choice_rejects(p):
+    scalar, cached = twin(3)
+    with pytest.raises(ValueError) as numpy_error:
+        scalar.choice(len(p), p=p)
+    with pytest.raises(ValueError) as ours:
+        categorical(cached, p)
+    assert str(ours.value) == str(numpy_error.value)
+    # A rejected p consumes nothing, on either side.
+    assert cached.bit_generator.state == scalar.bit_generator.state
+    assert cached.bit_generator.state == np.random.default_rng(3).bit_generator.state

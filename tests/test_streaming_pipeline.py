@@ -109,21 +109,6 @@ def test_merge_block_sizes_and_shard_counts():
             assert_traces_equal(merged, expected)
 
 
-def test_merge_time_order():
-    trace = generated_trace()
-    half = len(trace) // 2
-    sources = [
-        rows(trace, 0, half).sorted_by_time(),
-        rows(trace, half).sorted_by_time(),
-    ]
-    merged = collect(
-        merge_columnar_sorted(sources, block_rows=13, order="time")
-    )
-    assert_traces_equal(
-        merged, ColumnarTrace.concatenate(sources).sorted_by_time()
-    )
-
-
 def test_merge_block_bound_respected():
     trace = generated_trace()
     half = len(trace) // 2
