@@ -10,7 +10,7 @@ sweep — and the streaming run double-checks that dropping the sample
 buffers changes neither the request counters nor the access-log digest.
 
 Set ``BENCH_REPLAY_JSON`` to a path to emit the measurements as JSON (the
-CI replay-smoke job uploads it as ``BENCH_replay.json``).
+CI replay-smoke job uploads it as ``BENCH_replay_openloop.json``).
 ``BENCH_REPLAY_USERS`` overrides the trace scale.
 """
 
@@ -63,7 +63,7 @@ def test_replay_throughput(emit_json):
             {
                 "arm": label,
                 "ops": result.ops_total,
-                "records": len(result.records),
+                "records": len(result.log),
                 "seconds": seconds,
                 "ops_per_second": result.ops_total / seconds,
                 "estimator": snap.estimator,

@@ -32,11 +32,10 @@ logs are byte-identical (the cross-process variant lives in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from ..faults import FaultConfig, FaultPlan, RetryPolicy, ZoneConfig
-from ..logs.io import record_to_tsv
+from ..logs.io import tsv_digest
 from ..service import ClientNetwork, ServiceCluster
 from .base import ExperimentResult
 from .r2_fault_resilience import _planned_workload
@@ -206,9 +205,7 @@ def replay(
             n_transfers += 1
             n_completed += report.completed
     stats = cluster.fault_stats
-    digest = hashlib.md5(
-        "\n".join(record_to_tsv(r) for r in cluster.access_log()).encode()
-    ).hexdigest()
+    digest = tsv_digest(cluster.access_log())
     return CorrelatedReplay(
         label=label,
         n_transfers=n_transfers,

@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -374,6 +375,26 @@ def _in_windows(windows: tuple[Window, ...], starts: tuple[float, ...], t: float
     return None
 
 
+_State = TypeVar("_State")
+
+
+def _step_function(
+    windows: Iterable[Window],
+    state_at: Callable[[float], _State],
+    initial: _State,
+) -> tuple[tuple[float, ...], tuple[_State, ...]]:
+    """A state that only changes where one of ``windows`` opens or closes.
+
+    Windows are half-open, so the state is constant on each ``[edges[i],
+    edges[i + 1])`` and equals ``state_at(edges[i])``.  Returns ``(edges,
+    values)`` with ``values[0] = initial``, the state before the first
+    edge, and ``values[i + 1]`` the state on ``[edges[i], edges[i + 1])``,
+    so ``values[bisect_right(edges, t)]`` is the state at ``t``.
+    """
+    edges = tuple(sorted({e for w in windows for e in (w.start, w.end)}))
+    return edges, (initial,) + tuple(state_at(edge) for edge in edges)
+
+
 class FaultPlan:
     """A deterministic, precomputed fault schedule for one deployment.
 
@@ -562,6 +583,15 @@ class FaultPlan:
                 np.random.default_rng(s) for s in pressure_seqs
             ]
         # ------------------------------------------------------------------
+        # Per-front-end crash signal, precomputed (see frontend_down).
+        # ------------------------------------------------------------------
+        self._down_edges: list[tuple[float, ...]] = []
+        self._down_values: list[tuple[bool, ...]] = []
+        for fid in range(n_frontends):
+            edges, values = self._crash_steps(fid)
+            self._down_edges.append(edges)
+            self._down_values.append(values)
+        # ------------------------------------------------------------------
         # Sharded-tier overload signal, precomputed (see overload_level).
         # ------------------------------------------------------------------
         self._overload_edges: tuple[float, ...] = ()
@@ -588,18 +618,37 @@ class FaultPlan:
         """Whether ``frontend_id`` is inside a crash window at ``t``.
 
         Covers both the per-server residual windows and the shared
-        zone-level windows of the front-end's failure zone.
+        zone-level windows of the front-end's failure zone, through the
+        step function built once at construction (:meth:`_crash_steps`),
+        so a query is one ``bisect_right``.
         """
-        if (
-            _in_windows(
-                self._crash_windows[frontend_id],
-                self._crash_starts[frontend_id],
-                t,
-            )
-            is not None
-        ):
-            return True
-        return self.zone_down(frontend_id, t)
+        return self._down_values[frontend_id][
+            bisect.bisect_right(self._down_edges[frontend_id], t)
+        ]
+
+    def _crash_steps(
+        self, frontend_id: int
+    ) -> tuple[tuple[float, ...], tuple[bool, ...]]:
+        """The front-end's crash state as a step function (:func:`_step_function`).
+
+        The state changes only where one of its residual windows, or a
+        window of its zone, opens or closes; at each such edge it is
+        evaluated window by window.
+        """
+        sources = [
+            (self._crash_windows[frontend_id], self._crash_starts[frontend_id])
+        ]
+        if self._zone_of:
+            zone = self._zone_of[frontend_id]
+            sources.append((self._zone_windows[zone], self._zone_starts[zone]))
+        return _step_function(
+            (window for windows, _ in sources for window in windows),
+            lambda t: any(
+                _in_windows(windows, starts, t) is not None
+                for windows, starts in sources
+            ),
+            False,
+        )
 
     def downtime_remaining(self, frontend_id: int, t: float) -> float:
         """Seconds until every crash window containing ``t`` ends (0 if up)."""
@@ -727,36 +776,29 @@ class FaultPlan:
     def _sharded_overload_steps(
         self, overload_factor: float
     ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """The sharded-tier overload signal as a right-continuous step function.
+        """The sharded-tier overload signal as a step function (:func:`_step_function`).
 
         The down-primary count only changes where a primary's own outage
         window, or the crash window of the zone it sits in, opens or
-        closes.  All windows are half-open, so the count is constant on
-        each ``[edges[i], edges[i + 1])`` and equals its value at the
-        left edge.  Returns ``(edges, values)`` with ``values[0]`` the
-        level before the first edge and ``values[i + 1]`` the level on
-        ``[edges[i], edges[i + 1])``, so ``values[bisect_right(edges,
-        t)]`` is the level at ``t``.
+        closes.
         """
         n_shards = self.n_metadata_shards
-        edges: set[float] = set()
+        windows: list[Window] = []
         for shard in range(n_shards):
-            windows = list(self._metatier_windows[shard][0])
+            windows.extend(self._metatier_windows[shard][0])
             zone = self.metadata_node_zone(shard, 0)
             if zone is not None:
                 windows.extend(self._zone_windows[zone])
-            for window in windows:
-                edges.update((window.start, window.end))
-        ordered = tuple(sorted(edges))
-        values = [overload_factor * (0 / n_shards)]
-        for edge in ordered:
+
+        def level(t: float) -> float:
             down = sum(
                 1
                 for shard in range(n_shards)
-                if self.metadata_node_down(shard, 0, edge)
+                if self.metadata_node_down(shard, 0, t)
             )
-            values.append(overload_factor * (down / n_shards))
-        return ordered, tuple(values)
+            return overload_factor * (down / n_shards)
+
+        return _step_function(windows, level, overload_factor * (0 / n_shards))
 
     # -- retry-storm pressure -------------------------------------------
 

@@ -36,6 +36,7 @@ Invariants
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -80,6 +81,7 @@ CHUNK_CODE = KIND_CODE[RequestKind.CHUNK]
 STORE_CODE = DIRECTION_CODE[Direction.STORE]
 RETRIEVE_CODE = DIRECTION_CODE[Direction.RETRIEVE]
 OK_CODE = RESULT_CODE[ResultCode.OK]
+SHED_CODE = RESULT_CODE[ResultCode.SHED]
 
 #: Enum value -> code, keyed by the raw string (the bulk-parse lookup).
 #: Benchmarked against NumPy string-array comparisons: a plain dict list
@@ -493,6 +495,82 @@ class ColumnarTrace:
         """Load a trace persisted by :meth:`to_npz`."""
         with np.load(path, allow_pickle=False) as data:
             return cls.from_npz_payload(data)
+
+
+#: ``array`` typecode holding each :data:`COLUMNS` dtype (a bool is one
+#: byte, 0 or 1, read back as ``bool``).
+_TYPECODES = {"float64": "d", "uint8": "B", "int64": "q", "bool": "B"}
+
+
+class ColumnBuffer:
+    """An append-only request log held as typed column buffers.
+
+    :meth:`append` takes one row's fields in the :data:`Row` layout, enum
+    fields as their code-table indices, and appends each to its column's
+    :class:`array.array`; device ids are pooled as they arrive.  No
+    :class:`LogRecord` is built.  :meth:`take` hands the buffers over as a
+    :class:`ColumnarTrace` whose arrays view them (no copy), and the
+    buffer starts again empty.
+    """
+
+    __slots__ = ("_columns", "_pool", "append")
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        columns = [array(_TYPECODES[dtype]) for _, dtype in COLUMNS]
+        pool: dict[str, int] = {}
+        self._columns = columns
+        self._pool = pool
+        (
+            timestamp, device_type, device_code, user_id, kind, direction,
+            volume, processing_time, server_time, rtt, proxied, result,
+            session_id,
+        ) = (column.append for column in columns)
+        setdefault = pool.setdefault
+
+        def append(
+            t, dtype, device_id, user, k, d, vol, ptime, stime, r, prox, res,
+            session,
+        ) -> None:
+            timestamp(t)
+            device_type(dtype)
+            device_code(setdefault(device_id, len(pool)))
+            user_id(user)
+            kind(k)
+            direction(d)
+            volume(vol)
+            processing_time(ptime)
+            server_time(stime)
+            rtt(r)
+            proxied(prox)
+            result(res)
+            session_id(session)
+
+        self.append = append
+
+    def take(self) -> ColumnarTrace:
+        """The buffered rows in append order; the buffer restarts empty.
+
+        Raises
+        ------
+        ValueError
+            If any row breaks a :class:`LogRecord` invariant.  The buffer
+            then keeps every row and can still be appended to.
+        """
+        columns = {
+            name: np.frombuffer(column, dtype=dtype)
+            for (name, dtype), column in zip(COLUMNS, self._columns)
+        }
+        invalid = first_invalid_row(columns)
+        if invalid is not None:
+            # Drop the views: an array.array cannot grow while exported.
+            del columns
+            raise ValueError("row %d: %s" % invalid)
+        pool = tuple(self._pool)
+        self._reset()
+        return ColumnarTrace._from_columns(columns, device_pool=pool)
 
 
 #: Default rows buffered per source by :func:`merge_columnar_sorted` —

@@ -24,13 +24,24 @@ rejecting every line they reject.
 from __future__ import annotations
 
 import gzip
+import hashlib
 import io
 import itertools
 import json
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
-from .columnar import ColumnarTrace, first_invalid_row
+import numpy as np
+
+from .columnar import (
+    COLUMNS,
+    DEVICE_TYPES,
+    DIRECTIONS,
+    REQUEST_KINDS,
+    RESULT_CODES,
+    ColumnarTrace,
+    first_invalid_row,
+)
 from .schema import Direction, DeviceType, LogRecord, RequestKind, ResultCode
 
 TSV_COLUMNS = (
@@ -102,6 +113,70 @@ def record_to_tsv(record: LogRecord) -> str:
             str(record.session_id),
         )
     )
+
+
+#: One :func:`record_to_tsv` line as a ``%`` template over a row whose
+#: enum fields and device id are already strings and whose ``proxied``
+#: is a bool (``%d`` renders it ``1``/``0``).  ``%.6f`` and ``%d`` format
+#: exactly like the f-string ``.6f`` and ``str`` of :func:`record_to_tsv`.
+_TSV_LINE = "\t".join(
+    ("%.6f", "%s", "%s", "%d", "%s", "%s", "%d")
+    + ("%.6f", "%.6f", "%.6f", "%d", "%s", "%d")
+)
+
+#: Rows formatted per block by :func:`iter_tsv_blocks`.  A block holds
+#: one Python object per field and one line per row (~1 KB a row), so
+#: this bounds what a digest adds to the peak RSS to a few MB.
+TSV_BLOCK_ROWS = 4_096
+
+#: Code-table value strings of the enum columns, by column name.
+_ENUM_VALUES = {
+    name: np.asarray([member.value for member in table], dtype=object)
+    for name, table in (
+        ("device_type", DEVICE_TYPES),
+        ("kind", REQUEST_KINDS),
+        ("direction", DIRECTIONS),
+        ("result", RESULT_CODES),
+    )
+}
+
+
+def iter_tsv_blocks(trace: ColumnarTrace) -> Iterator[str]:
+    """Stream a columnar trace as TSV lines, :data:`TSV_BLOCK_ROWS` at a time.
+
+    Each yielded block is its rows' :func:`record_to_tsv` lines joined by
+    newlines, with no trailing newline; the lines are byte-identical to
+    ``record_to_tsv`` on the rows' records, and no record is built.  Only
+    one block of strings is alive at a time.
+    """
+    pool = np.asarray(trace.device_pool, dtype=object)
+    for lo in range(0, len(trace), TSV_BLOCK_ROWS):
+        hi = lo + TSV_BLOCK_ROWS
+        columns = []
+        for name, _ in COLUMNS:
+            column = getattr(trace, name)[lo:hi]
+            if name == "device_code":
+                column = pool[column]
+            elif name in _ENUM_VALUES:
+                column = _ENUM_VALUES[name][column]
+            columns.append(column.tolist())
+        yield "\n".join(map(_TSV_LINE.__mod__, zip(*columns)))
+
+
+def tsv_digest(trace: ColumnarTrace) -> str:
+    """MD5 of the trace's TSV lines joined by newlines (no header).
+
+    The access-log digest of the replay harness and of experiment R3: the
+    MD5 of the newline-joined :func:`record_to_tsv` lines of the records,
+    hashed block by block instead of from one joined string.
+    """
+    digest = hashlib.md5()
+    separator = b""
+    for block in iter_tsv_blocks(trace):
+        digest.update(separator)
+        digest.update(block.encode())
+        separator = b"\n"
+    return digest.hexdigest()
 
 
 def record_from_tsv(line: str) -> LogRecord:

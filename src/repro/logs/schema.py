@@ -176,11 +176,6 @@ class LogRecord:
         return replace(self, timestamp=timestamp)
 
 
-def sort_by_time(records: Iterable[LogRecord]) -> list[LogRecord]:
-    """Return records sorted by (timestamp, user, device) for stable replay."""
-    return sorted(records, key=lambda r: (r.timestamp, r.user_id, r.device_id))
-
-
 def iter_file_ops(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
     """Yield only file-operation records, preserving order."""
     return (r for r in records if r.is_file_op)

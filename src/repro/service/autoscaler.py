@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..faults import FaultConfig, FaultPlan, FaultStats, RetryPolicy
-from ..logs.io import record_to_tsv
+from ..logs.io import iter_tsv_blocks
 from ..logs.schema import DeviceType
 from ..workload.config import DiurnalModel
 from .client import ClientNetwork, StorageClient
@@ -966,8 +966,8 @@ def run_autoscaled_service(
         collector.observe_log(records)
         aggregate.observe_log(records)
         digest.update(f"window {w} fleet {fleet}\n".encode())
-        for record in records:
-            digest.update(record_to_tsv(record).encode())
+        for block in iter_tsv_blocks(records):
+            digest.update(block.encode())
             digest.update(b"\n")
         if plan is not None:
             window_stats = plan.stats.delta(ledger_before)

@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..faults import FaultPlan, MetadataUnavailableError, RequestOutcome, RetryPolicy
+from ..logs.columnar import DEVICE_CODE, RETRIEVE_CODE, STORE_CODE
 from ..logs.schema import DeviceType, Direction
 from ..tcpsim.devices import DeviceProfile, profile_for
 from ..tcpsim.rto import paper_rto_estimate
@@ -158,6 +159,8 @@ class StorageClient:
             client_seed(self.user_id, self.device_id, self.seed)
         )
         self._profile: DeviceProfile = profile_for(self.device_type)
+        #: The access log's code for this client's device type.
+        self._device_type_code = DEVICE_CODE[self.device_type]
 
     # ------------------------------------------------------------------
     # Protocol operations
@@ -193,12 +196,12 @@ class StorageClient:
                 retries=tally.retries,
                 failovers=tally.failovers,
             )
-        if not self._file_op(decision.frontend_id, Direction.STORE, tally):
+        if not self._file_op(decision.frontend_id, STORE_CODE, tally):
             return self._aborted(
                 Direction.STORE, "", size, manifest.n_chunks, started, tally
             )
         if not self._transfer_chunks(
-            decision.frontend_id, manifest.chunk_sizes, Direction.STORE, tally
+            decision.frontend_id, manifest.chunk_sizes, STORE_CODE, tally
         ):
             return self._aborted(
                 Direction.STORE, "", size, manifest.n_chunks, started, tally
@@ -232,13 +235,13 @@ class StorageClient:
         record, frontend_id = resolved
         # A download needs only the chunk layout, not the content hashes.
         sizes = chunk_sizes(record.size)
-        if not self._file_op(frontend_id, Direction.RETRIEVE, tally):
+        if not self._file_op(frontend_id, RETRIEVE_CODE, tally):
             return self._aborted(
                 Direction.RETRIEVE, url, record.size, len(sizes),
                 started, tally,
             )
         if not self._transfer_chunks(
-            frontend_id, sizes, Direction.RETRIEVE, tally
+            frontend_id, sizes, RETRIEVE_CODE, tally
         ):
             return self._aborted(
                 Direction.RETRIEVE, url, record.size, len(sizes),
@@ -400,7 +403,7 @@ class StorageClient:
         return shift + 1
 
     def _file_op(
-        self, frontend_id: int, direction: Direction, tally: _AttemptTally
+        self, frontend_id: int, direction_code: int, tally: _AttemptTally
     ) -> bool:
         outcome = self._request(
             frontend_id,
@@ -408,8 +411,8 @@ class StorageClient:
                 timestamp=self.clock,
                 user_id=self.user_id,
                 device_id=self.device_id,
-                device_type=self.device_type,
-                direction=direction,
+                device_type_code=self._device_type_code,
+                direction_code=direction_code,
                 rtt=self.network.rtt,
                 proxied=self.proxied,
                 session_id=self.session_id,
@@ -427,11 +430,11 @@ class StorageClient:
         self,
         frontend_id: int,
         sizes: Sequence[int],
-        direction: Direction,
+        direction_code: int,
         tally: _AttemptTally,
     ) -> bool:
         rto = paper_rto_estimate(self.network.rtt)
-        tclt_dist = self._profile.tclt(direction is Direction.STORE)
+        tclt_dist = self._profile.tclt(direction_code == STORE_CODE)
         idle = 0.0
         for i, size in enumerate(sizes):
             restarted = i > 0 and idle > rto
@@ -445,8 +448,8 @@ class StorageClient:
                         timestamp=self.clock,
                         user_id=self.user_id,
                         device_id=self.device_id,
-                        device_type=self.device_type,
-                        direction=direction,
+                        device_type_code=self._device_type_code,
+                        direction_code=direction_code,
                         size=_size,
                         rtt=self.network.rtt,
                         bandwidth=self.network.bandwidth,

@@ -5,6 +5,11 @@ operations users perform (store, retrieve), a combined access log in
 timestamp order, and the aggregate load statistics used for capacity
 studies (the Fig 1 workload view from the serving side).
 
+The combined log is one :class:`~repro.logs.columnar.ColumnarTrace`,
+merged from the front-ends' column buffers by one stable
+:func:`numpy.lexsort` (:meth:`ServiceCluster.access_log` gives the tie
+order).
+
 A cluster may be deployed with a :class:`~repro.faults.FaultConfig`: it
 then builds one :class:`~repro.faults.FaultPlan` (seeded off the cluster's
 ``fault_seed``), threads it through the metadata server and every
@@ -22,8 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..faults import FaultConfig, FaultPlan, FaultStats, RetryPolicy
-from ..logs.schema import DeviceType, LogRecord, sort_by_time
+from ..logs.columnar import ColumnarTrace
+from ..logs.schema import DeviceType
 from ..tcpsim.devices import ServerProfile
 from .client import ClientNetwork, StorageClient
 from .frontend import FrontendServer, TransferModel
@@ -88,6 +96,13 @@ class ServiceCluster:
     fault_plan: FaultPlan | None = field(init=False, default=None)
     #: ``fault_plan`` when it can fault, else ``None`` (resolved once).
     _faults: FaultPlan | None = field(init=False, default=None, repr=False)
+    #: The merged access log so far, and the front-end of each of its rows.
+    _log: ColumnarTrace = field(
+        init=False, default_factory=ColumnarTrace.empty, repr=False
+    )
+    _log_frontend: np.ndarray = field(
+        init=False, default_factory=lambda: np.empty(0, np.int32), repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.read_policy not in READ_POLICIES:
@@ -174,12 +189,58 @@ class ServiceCluster:
             fault_plan=self.fault_plan,
         )
 
-    def access_log(self) -> list[LogRecord]:
-        """All front-end log records merged in timestamp order."""
-        merged: list[LogRecord] = []
-        for frontend in self.frontends:
-            merged.extend(frontend.access_log)
-        return sort_by_time(merged)
+    def access_log(self) -> ColumnarTrace:
+        """All front-end log rows merged in ``(timestamp, user, device)`` order.
+
+        Takes over the rows each front-end logged since the last call
+        (:meth:`FrontendServer.take_log`) and merges them into the log
+        kept here, so no second copy of a row stays alive.  One stable
+        :func:`numpy.lexsort` orders the rows by timestamp, user id,
+        device id (by its rank in the sorted device pool), then
+        front-end; rows equal on all four keep their emission order (rows
+        merged by an earlier call stay ahead).  That is exactly the order
+        of a stable sort of the front-end logs concatenated in front-end
+        order.
+
+        If a front-end's :meth:`~FrontendServer.take_log` raises, the rows
+        taken from the front-ends before it are still merged and the
+        failing front-end keeps its rows, so no row is lost.
+        """
+        taken = []
+        try:
+            for frontend in self.frontends:
+                taken.append(frontend.take_log())
+        finally:
+            self._merge(taken)
+        return self._log
+
+    def _merge(self, taken: list[ColumnarTrace]) -> None:
+        """Merge the logs of front-ends ``0..len(taken)-1`` into ``_log``."""
+        if not any(len(part) for part in taken):
+            return
+        merged = ColumnarTrace.concatenate([self._log, *taken])
+        frontend = np.concatenate(
+            [self._log_frontend]
+            + [
+                np.full(len(part), fid, dtype=np.int32)
+                for fid, part in enumerate(taken)
+            ]
+        )
+        pool = merged.device_pool
+        device_rank = np.empty(len(pool), dtype=np.int64)
+        device_rank[sorted(range(len(pool)), key=pool.__getitem__)] = (
+            np.arange(len(pool))
+        )
+        order = np.lexsort(
+            (
+                frontend,
+                device_rank[merged.device_code],
+                merged.user_id,
+                merged.timestamp,
+            )
+        )
+        self._log = merged.select(order)
+        self._log_frontend = frontend[order]
 
     @property
     def bytes_stored(self) -> int:

@@ -4,8 +4,18 @@ The front-end servers are where the paper's dataset was collected: every
 file operation and chunk request that reaches a front-end produces one log
 entry with the Table 1 fields.  This module models a front-end as a request
 handler that charges processing time (``Tsrv`` from the server profile plus
-transfer time from a latency model) and appends :class:`LogRecord` entries
-to its access log.
+transfer time from a latency model) and appends one row per attempt to
+its access log.
+
+The access log is columnar from the start: each attempt is appended to
+typed column buffers (:class:`~repro.logs.columnar.ColumnBuffer`) in the
+:data:`~repro.logs.columnar.Row` layout, enum fields as their code-table
+indices, so no :class:`~repro.logs.schema.LogRecord` is built per
+request.  Callers pass the device-type and direction codes, resolved
+once per client and per operation.  :meth:`FrontendServer.take_log`
+hands the buffers over as a :class:`~repro.logs.columnar.ColumnarTrace`
+in emission order; :meth:`repro.service.cluster.ServiceCluster.access_log`
+merges every front-end's rows into one time-ordered log.
 
 Requests are no longer unconditionally successful: when the front-end is
 bound to a :class:`~repro.faults.FaultPlan`, each handler consults the
@@ -22,13 +32,28 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from ..faults import FaultPlan, RequestOutcome
-from ..logs.schema import DeviceType, Direction, LogRecord, RequestKind, ResultCode
+from ..logs.columnar import (
+    CHUNK_CODE,
+    DIRECTIONS,
+    FILE_OP_CODE,
+    OK_CODE,
+    RESULT_CODE,
+    RESULT_CODES,
+    SHED_CODE,
+    STORE_CODE,
+    ColumnarTrace,
+    ColumnBuffer,
+)
+from ..logs.schema import Direction, ResultCode
 from ..tcpsim.devices import ServerProfile
+
+_SERVER_ERROR_CODE = RESULT_CODE[ResultCode.SERVER_ERROR]
+_UNAVAILABLE_CODE = RESULT_CODE[ResultCode.UNAVAILABLE]
+_TIMEOUT_CODE = RESULT_CODE[ResultCode.TIMEOUT]
 
 
 @dataclass
@@ -104,9 +129,6 @@ class FrontendServer:
         clusters.
     transfer_model:
         Chunk transfer-time estimator.
-    log_sink:
-        Optional callable receiving each record as it is produced; when
-        None, records accumulate in :attr:`access_log`.
     fault_plan:
         Optional :class:`~repro.faults.FaultPlan`.  ``None`` (or a
         disabled plan) keeps the historical always-succeed behaviour.
@@ -119,15 +141,15 @@ class FrontendServer:
     The plan is consulted only when it can fault: ``__post_init__``
     resolves ``fault_plan`` once into the private ``_faults`` (``None``
     for a missing or disabled plan), so assign the plan at construction.
+    Every attempt is appended to the column buffers; :meth:`take_log`
+    hands them over.
     """
 
     server_id: int
     profile: ServerProfile = field(default_factory=ServerProfile)
     transfer_model: TransferModel = field(default_factory=TransferModel)
-    log_sink: Callable[[LogRecord], None] | None = None
     fault_plan: FaultPlan | None = None
     capacity: int | None = None
-    access_log: list[LogRecord] = field(default_factory=list)
     bytes_stored: int = 0
     bytes_served: int = 0
     requests_ok: int = 0
@@ -135,16 +157,31 @@ class FrontendServer:
     #: Min-heap of the finish times of tracked requests.
     _in_flight: list[float] = field(default_factory=list, repr=False)
     _faults: FaultPlan | None = field(init=False, default=None, repr=False)
+    _log: ColumnBuffer = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         plan = self.fault_plan
         self._faults = plan if plan is not None and plan.enabled else None
+        self._log = ColumnBuffer()
 
-    def _emit(self, record: LogRecord) -> None:
-        if self.log_sink is not None:
-            self.log_sink(record)
-        else:
-            self.access_log.append(record)
+    def take_log(self) -> ColumnarTrace:
+        """The rows logged since the last take, in emission order.
+
+        The column buffers move into the returned trace without a copy
+        and the log restarts empty, so a merged log never sits next to a
+        second copy of its rows.
+
+        Raises
+        ------
+        ValueError
+            If a logged row breaks a :class:`~repro.logs.schema.LogRecord`
+            invariant; the message names this front-end and the rows stay
+            logged.
+        """
+        try:
+            return self._log.take()
+        except ValueError as error:
+            raise ValueError(f"front-end {self.server_id}: {error}") from None
 
     # ------------------------------------------------------------------
     # Fault consultation
@@ -157,12 +194,13 @@ class FrontendServer:
             heapq.heappop(heap)
         return len(heap)
 
-    def _preflight(self, now: float, timeout: float | None) -> ResultCode | None:
+    def _preflight(self, now: float, timeout: float | None) -> int | None:
         """Check crash windows and load shedding before doing any work.
 
-        Returns the failure code, or ``None`` when the request may
-        proceed.  Only runs with an enabled fault plan, so the fault-free
-        path never touches the in-flight queue.
+        Returns the failure's result code (its index in
+        :data:`~repro.logs.columnar.RESULT_CODES`), or ``None`` when the
+        request may proceed.  Only runs with an enabled fault plan, so
+        the fault-free path never touches the in-flight queue.
 
         With the correlation layer armed, three extra mechanisms apply —
         shared zone-level crash windows (attributed to
@@ -180,7 +218,7 @@ class FrontendServer:
             if plan.zone_down(self.server_id, now):
                 plan.stats.zone_crash_rejections += 1
             plan.note_failure_pressure(self.server_id, now)
-            return ResultCode.UNAVAILABLE
+            return _UNAVAILABLE_CODE
         if self.capacity is not None:
             in_flight = self.in_flight(now)
             effective = in_flight + plan.overload_level(now) * self.capacity
@@ -189,12 +227,12 @@ class FrontendServer:
                 if in_flight < self.capacity:
                     plan.stats.overload_sheds += 1
                 plan.note_failure_pressure(self.server_id, now)
-                return ResultCode.SHED
+                return SHED_CODE
         if plan.draw_pressure_shed(self.server_id, now):
             plan.stats.shed_requests += 1
             plan.stats.pressure_sheds += 1
             plan.note_failure_pressure(self.server_id, now)
-            return ResultCode.SHED
+            return SHED_CODE
         return None
 
     def _finish(
@@ -203,41 +241,35 @@ class FrontendServer:
         now: float,
         nominal: float,
         timeout: float | None,
-    ) -> tuple[ResultCode, float]:
+    ) -> tuple[int, float]:
         """Resolve transient errors/timeouts for a started request.
 
-        Returns ``(result, elapsed)`` where ``elapsed`` is the
+        Returns ``(result code, elapsed)`` where ``elapsed`` is the
         client-perceived duration: the full ``nominal`` time on success, a
         partial time when the request errored mid-flight, or the timeout
         when the client abandoned it.
         """
         plan = self._faults
         if plan is None:
-            return ResultCode.OK, nominal
+            return OK_CODE, nominal
         if plan.draw_transient_error(self.server_id):
             plan.stats.injected_errors += 1
             elapsed = nominal * plan.error_fraction(self.server_id)
             if timeout is not None:
                 elapsed = min(elapsed, timeout)
             self._track(now, elapsed)
-            return ResultCode.SERVER_ERROR, elapsed
+            return _SERVER_ERROR_CODE, elapsed
         if timeout is not None and nominal > timeout:
             plan.stats.timeouts += 1
             self._track(now, timeout)
-            return ResultCode.TIMEOUT, timeout
+            return _TIMEOUT_CODE, timeout
         self._track(now, nominal)
-        return ResultCode.OK, nominal
+        return OK_CODE, nominal
 
     def _track(self, now: float, elapsed: float) -> None:
         # Only reached with an enabled plan (from ``_finish``).
         if self.capacity is not None:
             heapq.heappush(self._in_flight, now + elapsed)
-
-    def _count(self, result: ResultCode) -> None:
-        if result is ResultCode.OK:
-            self.requests_ok += 1
-        else:
-            self.requests_failed += 1
 
     # ------------------------------------------------------------------
     # Request handlers
@@ -249,28 +281,26 @@ class FrontendServer:
         timestamp: float,
         user_id: int,
         device_id: str,
-        device_type: DeviceType,
-        direction: Direction,
+        device_type_code: int,
+        direction_code: int,
         rtt: float,
         proxied: bool = False,
         session_id: int = -1,
         timeout: float | None = None,
         rng: np.random.Generator,
     ) -> RequestOutcome:
-        """Process a file operation request; returns its typed outcome."""
+        """Process a file operation request; returns its typed outcome.
+
+        ``device_type_code`` and ``direction_code`` are the code-table
+        indices (:data:`~repro.logs.columnar.DEVICE_CODE`,
+        :data:`~repro.logs.columnar.DIRECTION_CODE`) of the request's
+        device type and direction.
+        """
         failure = self._preflight(timestamp, timeout)
         if failure is not None:
-            return self._emit_failure(
-                result=failure,
-                timestamp=timestamp,
-                user_id=user_id,
-                device_id=device_id,
-                device_type=device_type,
-                kind=RequestKind.FILE_OP,
-                direction=direction,
-                rtt=rtt,
-                proxied=proxied,
-                session_id=session_id,
+            return self._reject(
+                failure, timestamp, device_type_code, device_id, user_id,
+                FILE_OP_CODE, direction_code, rtt, proxied, session_id,
             )
         tsrv = float(self.profile.tsrv.sample(rng)) * 0.2  # metadata only
         plan = self._faults
@@ -279,29 +309,18 @@ class FrontendServer:
         result, elapsed = self._finish(
             now=timestamp, nominal=tsrv, timeout=timeout
         )
-        ok = result is ResultCode.OK
-        self._count(result)
-        self._emit(
-            LogRecord(
-                timestamp=timestamp,
-                device_type=device_type,
-                device_id=device_id,
-                user_id=user_id,
-                kind=RequestKind.FILE_OP,
-                direction=direction,
-                volume=0,
-                processing_time=elapsed,
-                server_time=elapsed if ok else 0.0,
-                rtt=rtt,
-                proxied=proxied,
-                result=result,
-                session_id=session_id,
-            )
+        ok = result == OK_CODE
+        self._log.append(
+            timestamp, device_type_code, device_id, user_id, FILE_OP_CODE,
+            direction_code, 0, elapsed, elapsed if ok else 0.0, rtt,
+            proxied, result, session_id,
         )
         if not ok:
-            return RequestOutcome(result=result, elapsed=elapsed)
+            self.requests_failed += 1
+            return RequestOutcome(result=RESULT_CODES[result], elapsed=elapsed)
+        self.requests_ok += 1
         return RequestOutcome(
-            result=result, elapsed=elapsed, tchunk=elapsed, tsrv=elapsed
+            result=ResultCode.OK, elapsed=elapsed, tchunk=elapsed, tsrv=elapsed
         )
 
     def handle_chunk(
@@ -310,8 +329,8 @@ class FrontendServer:
         timestamp: float,
         user_id: int,
         device_id: str,
-        device_type: DeviceType,
-        direction: Direction,
+        device_type_code: int,
+        direction_code: int,
         size: int,
         rtt: float,
         bandwidth: float,
@@ -325,25 +344,17 @@ class FrontendServer:
 
         On success the outcome carries ``(tchunk, tsrv)`` — the transfer
         time plus the upstream storage time, the same decomposition the
-        paper's logs carry.
+        paper's logs carry.  The codes are as in :meth:`handle_file_op`.
         """
         failure = self._preflight(timestamp, timeout)
         if failure is not None:
-            return self._emit_failure(
-                result=failure,
-                timestamp=timestamp,
-                user_id=user_id,
-                device_id=device_id,
-                device_type=device_type,
-                kind=RequestKind.CHUNK,
-                direction=direction,
-                rtt=rtt,
-                proxied=proxied,
-                session_id=session_id,
+            return self._reject(
+                failure, timestamp, device_type_code, device_id, user_id,
+                CHUNK_CODE, direction_code, rtt, proxied, session_id,
             )
         tsrv = float(self.profile.tsrv.sample(rng))
         ttran = self.transfer_model.transfer_time(
-            size, rtt, bandwidth, direction, restarted
+            size, rtt, bandwidth, DIRECTIONS[direction_code], restarted
         )
         plan = self._faults
         if plan is not None:
@@ -354,46 +365,33 @@ class FrontendServer:
         result, elapsed = self._finish(
             now=timestamp, nominal=tchunk, timeout=timeout
         )
-        ok = result is ResultCode.OK
-        self._count(result)
-        if ok:
-            if direction is Direction.STORE:
-                self.bytes_stored += size
-            else:
-                self.bytes_served += size
-        self._emit(
-            LogRecord(
-                timestamp=timestamp,
-                device_type=device_type,
-                device_id=device_id,
-                user_id=user_id,
-                kind=RequestKind.CHUNK,
-                direction=direction,
-                volume=size if ok else 0,
-                processing_time=elapsed,
-                server_time=tsrv if ok else 0.0,
-                rtt=rtt,
-                proxied=proxied,
-                result=result,
-                session_id=session_id,
-            )
+        ok = result == OK_CODE
+        self._log.append(
+            timestamp, device_type_code, device_id, user_id, CHUNK_CODE,
+            direction_code, size if ok else 0, elapsed, tsrv if ok else 0.0,
+            rtt, proxied, result, session_id,
         )
         if not ok:
-            return RequestOutcome(result=result, elapsed=elapsed)
+            self.requests_failed += 1
+            return RequestOutcome(result=RESULT_CODES[result], elapsed=elapsed)
+        self.requests_ok += 1
+        if direction_code == STORE_CODE:
+            self.bytes_stored += size
+        else:
+            self.bytes_served += size
         return RequestOutcome(
-            result=result, elapsed=elapsed, tchunk=tchunk, tsrv=tsrv
+            result=ResultCode.OK, elapsed=elapsed, tchunk=tchunk, tsrv=tsrv
         )
 
-    def _emit_failure(
+    def _reject(
         self,
-        *,
-        result: ResultCode,
+        result: int,
         timestamp: float,
-        user_id: int,
+        device_type_code: int,
         device_id: str,
-        device_type: DeviceType,
-        kind: RequestKind,
-        direction: Direction,
+        user_id: int,
+        kind_code: int,
+        direction_code: int,
         rtt: float,
         proxied: bool,
         session_id: int,
@@ -403,23 +401,10 @@ class FrontendServer:
         A connect to a crashed server costs one RTT to fail; a shed
         request is answered immediately with a cheap rejection.
         """
-        elapsed = rtt if result is ResultCode.UNAVAILABLE else rtt / 2.0
-        self._count(result)
-        self._emit(
-            LogRecord(
-                timestamp=timestamp,
-                device_type=device_type,
-                device_id=device_id,
-                user_id=user_id,
-                kind=kind,
-                direction=direction,
-                volume=0,
-                processing_time=elapsed,
-                server_time=0.0,
-                rtt=rtt,
-                proxied=proxied,
-                result=result,
-                session_id=session_id,
-            )
+        elapsed = rtt if result == _UNAVAILABLE_CODE else rtt / 2.0
+        self.requests_failed += 1
+        self._log.append(
+            timestamp, device_type_code, device_id, user_id, kind_code,
+            direction_code, 0, elapsed, 0.0, rtt, proxied, result, session_id,
         )
-        return RequestOutcome(result=result, elapsed=elapsed)
+        return RequestOutcome(result=RESULT_CODES[result], elapsed=elapsed)

@@ -40,12 +40,12 @@ Scheduling semantics (also in ``docs/TELEMETRY.md``):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..logs.io import record_to_tsv
+from ..logs.columnar import ColumnarTrace
+from ..logs.io import tsv_digest
 from ..logs.schema import Direction, DeviceType, LogRecord
 from .client import ClientNetwork
 from .cluster import ServiceCluster
@@ -231,7 +231,11 @@ def schedule_arrivals(
 
 @dataclass
 class ReplayResult:
-    """Outcome of one replay: counters, telemetry and the access log."""
+    """Outcome of one replay: counters, telemetry and the access log.
+
+    ``log`` is the cluster's merged access log, columnar; ``records``
+    materializes it as :class:`LogRecord` objects when asked.
+    """
 
     mode: str
     speedup: float
@@ -245,13 +249,21 @@ class ReplayResult:
     telemetry: TelemetryCollector = field(
         default_factory=TelemetryCollector
     )
-    records: tuple[LogRecord, ...] = ()
+    log: ColumnarTrace = field(default_factory=ColumnarTrace.empty)
+
+    @property
+    def records(self) -> tuple[LogRecord, ...]:
+        """The access log as records, built from ``log`` on each access.
+
+        Each access costs O(n) in the log's length: read it once into a
+        local rather than indexing ``records`` repeatedly.  Not cached:
+        a kept tuple would be a second copy of the log.
+        """
+        return tuple(self.log.iter_records())
 
     def log_digest(self) -> str:
         """MD5 over the TSV serialization of the time-sorted access log."""
-        return hashlib.md5(
-            "\n".join(record_to_tsv(r) for r in self.records).encode()
-        ).hexdigest()
+        return tsv_digest(self.log)
 
     def snapshot(self, slo: SloPolicy | None = None) -> TelemetrySnapshot:
         return self.telemetry.snapshot(slo)
@@ -334,8 +346,8 @@ def replay_trace(
             report.finished_at - op.arrival,
             completed=report.completed,
         )
-    result.records = tuple(cluster.access_log())
-    result.telemetry.observe_log(result.records)
+    result.log = cluster.access_log()
+    result.telemetry.observe_log(result.log)
     result.telemetry.set_metadata_availability(cluster.metadata_availability())
     return result
 

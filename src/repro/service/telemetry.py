@@ -16,9 +16,10 @@ Three pieces:
   the streaming estimates against :func:`numpy.percentile`.  Error
   bounds are documented in ``docs/TELEMETRY.md`` and enforced in
   ``tests/test_telemetry.py``.
-* **Windowed counters** — :class:`TelemetryCollector.observe_record`
-  buckets every access-log record into fixed-width virtual-time windows
-  and tallies requests/failures/sheds/bytes per window.  Rate queries
+* **Windowed counters** — :class:`TelemetryCollector.observe_log`
+  buckets every access-log row into fixed-width virtual-time windows
+  and tallies requests/failures/sheds/bytes per window, folding the
+  log's columns with ``floor_divide`` and ``bincount``.  Rate queries
   are total-guarded: an empty or all-shed window renders a snapshot
   without dividing by zero.
 * **Snapshots** — :meth:`TelemetryCollector.snapshot` freezes everything
@@ -45,7 +46,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..faults import FaultStats
-from ..logs.schema import LogRecord, ResultCode
+from ..logs.columnar import OK_CODE, RESULT_CODES, SHED_CODE, as_columnar
+from ..logs.schema import ResultCode
 
 #: Version tag embedded in every snapshot; bump when the schema changes.
 #: v2 added the ``metadata`` availability section (sharded tier).
@@ -486,30 +488,52 @@ class TelemetryCollector:
 
     # -- request-level counters -----------------------------------------
 
-    def observe_record(self, record: LogRecord) -> None:
-        """Tally one access-log record into result and window counters."""
-        result = record.result
-        timestamp = record.timestamp
-        self._result_counts[result] += 1
-        if timestamp > self._horizon:
-            self._horizon = timestamp
-        index = int(timestamp // self.window_seconds)
-        windows = self._windows
-        window = windows.get(index)
-        if window is None:
-            window = windows[index] = _WindowCounters()
-        window.requests += 1
-        if result is ResultCode.OK:
-            window.ok += 1
-        else:
-            window.failed += 1
-            if result is ResultCode.SHED:
-                window.shed += 1
-        window.bytes += record.volume
-
     def observe_log(self, records) -> None:
-        for record in records:
-            self.observe_record(record)
+        """Tally access-log rows into the result and window counters.
+
+        Takes a :class:`~repro.logs.columnar.ColumnarTrace` or any record
+        iterable (converted with :func:`~repro.logs.columnar.as_columnar`).
+        Row ``i`` lands in window ``timestamp[i] // window_seconds``;
+        the fold is whole-column: one ``floor_divide`` for the window
+        indices and one ``bincount`` per counter, so the tallies do not
+        depend on row order.
+        """
+        log = as_columnar(records)
+        if not len(log):
+            return
+        result = log.result
+        for code, count in enumerate(
+            np.bincount(result, minlength=len(RESULT_CODES)).tolist()
+        ):
+            self._result_counts[RESULT_CODES[code]] += count
+        timestamp = log.timestamp
+        latest = float(timestamp.max())
+        if latest > self._horizon:
+            self._horizon = latest
+        window_of = np.floor_divide(timestamp, self.window_seconds)
+        indices, slot = np.unique(window_of.astype(np.int64), return_inverse=True)
+        n_windows = len(indices)
+        requests = np.bincount(slot, minlength=n_windows)
+        ok = np.bincount(slot[result == OK_CODE], minlength=n_windows)
+        shed = np.bincount(slot[result == SHED_CODE], minlength=n_windows)
+        volume = np.zeros(n_windows, dtype=np.int64)
+        np.add.at(volume, slot, log.volume)
+        windows = self._windows
+        for index, n, n_ok, n_shed, n_bytes in zip(
+            indices.tolist(),
+            requests.tolist(),
+            ok.tolist(),
+            shed.tolist(),
+            volume.tolist(),
+        ):
+            window = windows.get(index)
+            if window is None:
+                window = windows[index] = _WindowCounters()
+            window.requests += n
+            window.ok += n_ok
+            window.failed += n - n_ok
+            window.shed += n_shed
+            window.bytes += n_bytes
 
     def set_metadata_availability(self, info: dict) -> None:
         """Attach the deployment's metadata-tier availability summary.

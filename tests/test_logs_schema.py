@@ -10,8 +10,8 @@ from repro.logs import (
     RequestKind,
     iter_chunks,
     iter_file_ops,
-    sort_by_time,
 )
+from tests.helpers import sort_by_time
 
 
 def make_record(**overrides):

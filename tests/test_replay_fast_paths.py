@@ -8,6 +8,8 @@ bit for bit, not within a tolerance:
 * the sharded-tier overload signal, precomputed at plan construction as
   a step function, against the per-shard sum over
   :meth:`~repro.faults.FaultPlan.metadata_node_down`;
+* each front-end's crash state, precomputed the same way, against the
+  window-by-window test over its residual and zone crash windows;
 * the front-end in-flight heap against the list filter it replaced;
 * P² estimates folded in on demand from retained samples against a bank
   fed on every add.
@@ -191,6 +193,107 @@ class TestShardedOverloadSignal:
         edges = signal_edges(plan)
         assert len(edges) == 4
         assert_signal_matches(plan, probe_points(edges))
+
+
+# ----------------------------------------------------------------------
+# Front-end crash state
+# ----------------------------------------------------------------------
+
+
+def frontend_crash_windows(plan: FaultPlan, fid: int) -> list:
+    """The front-end's residual crash windows and its zone's windows."""
+    windows = list(plan._crash_windows[fid])
+    zone = plan.zone_of(fid)
+    if zone is not None:
+        windows.extend(plan.zone_windows(zone))
+    return windows
+
+
+def reference_frontend_down(plan: FaultPlan, fid: int, t: float) -> bool:
+    """The window-by-window definition: inside a residual window of the
+    front-end, or inside a window of its zone."""
+    return any(window.contains(t) for window in frontend_crash_windows(plan, fid))
+
+
+def crash_plan(n_frontends: int, n_zones: int, seed: int, rate: float) -> FaultPlan:
+    """A plan dense in residual and zone crash windows (which overlap)."""
+    zones = (
+        ZoneConfig(
+            n_zones=n_zones, zone_crash_rate=rate, zone_mean_downtime=400.0
+        )
+        if n_zones
+        else None
+    )
+    config = FaultConfig(
+        crash_rate=rate,
+        crash_mean_downtime=300.0,
+        horizon=6 * 3600.0,
+        zones=zones,
+    )
+    return FaultPlan(config, n_frontends=n_frontends, seed=seed)
+
+
+def crash_edges(plan: FaultPlan, fid: int) -> list[float]:
+    windows = frontend_crash_windows(plan, fid)
+    return sorted({e for w in windows for e in (w.start, w.end)})
+
+
+def assert_crash_state_matches(plan: FaultPlan, fid: int, points) -> None:
+    for t in points:
+        assert plan.frontend_down(fid, t) is reference_frontend_down(
+            plan, fid, t
+        ), (fid, t)
+
+
+class TestFrontendCrashSteps:
+    def test_grid_at_edges_ulps_and_midpoints(self):
+        checked_edges = 0
+        for n_frontends in (1, 2, 5):
+            for n_zones in range(4):
+                for rate in (0.5, 3.0):
+                    plan = crash_plan(n_frontends, n_zones, 7 * n_zones + n_frontends, rate)
+                    for fid in range(n_frontends):
+                        edges = crash_edges(plan, fid)
+                        checked_edges += len(edges)
+                        assert_crash_state_matches(
+                            plan, fid, probe_points(edges)
+                        )
+        assert checked_edges > 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(
+            st.integers(min_value=1, max_value=6),  # front-ends
+            st.integers(min_value=0, max_value=3),  # zones
+            st.integers(min_value=0, max_value=2**16),  # plan seed
+            st.floats(min_value=0.1, max_value=4.0),  # crash rate
+        ),
+        fractions=st.lists(
+            st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40
+        ),
+        offsets=st.lists(
+            st.floats(min_value=-500.0, max_value=500.0), max_size=20
+        ),
+    )
+    def test_random_plans_and_instants(self, shape, fractions, offsets):
+        n_frontends, n_zones, seed, rate = shape
+        plan = crash_plan(n_frontends, n_zones, seed, rate)
+        horizon = plan.config.horizon
+        for fid in range(n_frontends):
+            edges = crash_edges(plan, fid)
+            points = probe_points(edges) + [f * horizon for f in fractions]
+            for k, offset in enumerate(offsets):
+                if edges:
+                    points.append(edges[k % len(edges)] + offset)
+            assert_crash_state_matches(plan, fid, points)
+
+    def test_fault_free_plan_is_never_down(self):
+        plan = FaultPlan(FaultConfig(), n_frontends=3)
+        assert not any(
+            plan.frontend_down(fid, t)
+            for fid in range(3)
+            for t in (-1.0, 0.0, 1e9)
+        )
 
 
 # ----------------------------------------------------------------------

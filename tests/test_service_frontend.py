@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.logs import DeviceType, Direction, RequestKind
+from repro.logs.columnar import DEVICE_CODE, DIRECTION_CODE
 from repro.service import FrontendServer, TransferModel
+
+ANDROID = DEVICE_CODE[DeviceType.ANDROID]
+IOS = DEVICE_CODE[DeviceType.IOS]
+STORE = DIRECTION_CODE[Direction.STORE]
+RETRIEVE = DIRECTION_CODE[Direction.RETRIEVE]
 
 
 class TestTransferModel:
@@ -63,8 +69,8 @@ class TestTransferModel:
 
 
 class TestFrontendServer:
-    def make(self, sink=None):
-        return FrontendServer(server_id=0, log_sink=sink)
+    def make(self):
+        return FrontendServer(server_id=0)
 
     def test_chunk_emits_log_record(self):
         server = self.make()
@@ -73,16 +79,20 @@ class TestFrontendServer:
             timestamp=10.0,
             user_id=1,
             device_id="d1",
-            device_type=DeviceType.ANDROID,
-            direction=Direction.STORE,
+            device_type_code=ANDROID,
+            direction_code=STORE,
             size=512 * 1024,
             rtt=0.1,
             bandwidth=1e6,
             rng=rng,
         )
         assert outcome.ok
-        assert len(server.access_log) == 1
-        record = server.access_log[0]
+        log = server.take_log()
+        assert len(log) == 1
+        assert len(server.take_log()) == 0
+        record = log.record(0)
+        assert record.device_type is DeviceType.ANDROID
+        assert record.direction is Direction.STORE
         assert record.kind is RequestKind.CHUNK
         assert record.is_ok
         assert record.volume == 512 * 1024
@@ -97,13 +107,15 @@ class TestFrontendServer:
             timestamp=1.0,
             user_id=1,
             device_id="d",
-            device_type=DeviceType.IOS,
-            direction=Direction.RETRIEVE,
+            device_type_code=IOS,
+            direction_code=RETRIEVE,
             rtt=0.05,
             rng=np.random.default_rng(0),
         )
-        record = server.access_log[0]
+        record = server.take_log().record(0)
         assert record.kind is RequestKind.FILE_OP
+        assert record.device_type is DeviceType.IOS
+        assert record.direction is Direction.RETRIEVE
         assert record.volume == 0
 
     def test_byte_counters(self):
@@ -111,39 +123,28 @@ class TestFrontendServer:
         rng = np.random.default_rng(0)
         server.handle_chunk(
             timestamp=0.0, user_id=1, device_id="d",
-            device_type=DeviceType.IOS, direction=Direction.STORE,
+            device_type_code=IOS, direction_code=STORE,
             size=100, rtt=0.1, bandwidth=1e6, rng=rng,
         )
         server.handle_chunk(
             timestamp=0.0, user_id=1, device_id="d",
-            device_type=DeviceType.IOS, direction=Direction.RETRIEVE,
+            device_type_code=IOS, direction_code=RETRIEVE,
             size=300, rtt=0.1, bandwidth=1e6, rng=rng,
         )
         assert server.bytes_stored == 100
         assert server.bytes_served == 300
 
-    def test_log_sink_bypasses_buffer(self):
-        sunk = []
-        server = self.make(sink=sunk.append)
-        server.handle_file_op(
-            timestamp=0.0, user_id=1, device_id="d",
-            device_type=DeviceType.IOS, direction=Direction.STORE,
-            rtt=0.1, rng=np.random.default_rng(0),
-        )
-        assert len(sunk) == 1
-        assert server.access_log == []
-
     def test_restart_lengthens_chunk(self):
         server = self.make()
         plain = server.handle_chunk(
             timestamp=0.0, user_id=1, device_id="d",
-            device_type=DeviceType.IOS, direction=Direction.STORE,
+            device_type_code=IOS, direction_code=STORE,
             size=512 * 1024, rtt=0.1, bandwidth=1e6,
             restarted=False, rng=np.random.default_rng(5),
         )
         restarted = server.handle_chunk(
             timestamp=0.0, user_id=1, device_id="d",
-            device_type=DeviceType.IOS, direction=Direction.STORE,
+            device_type_code=IOS, direction_code=STORE,
             size=512 * 1024, rtt=0.1, bandwidth=1e6,
             restarted=True, rng=np.random.default_rng(5),
         )

@@ -213,18 +213,18 @@ class TestTelemetryCollector:
         )
 
         collector = TelemetryCollector(window_seconds=60.0)
-        for i in range(5):
-            collector.observe_record(
-                LogRecord(
-                    timestamp=10.0 + i,
-                    device_type=DeviceType.ANDROID,
-                    device_id="m1",
-                    user_id=1,
-                    kind=RequestKind.CHUNK,
-                    direction=Direction.STORE,
-                    result=ResultCode.SHED,
-                )
+        collector.observe_log(
+            LogRecord(
+                timestamp=10.0 + i,
+                device_type=DeviceType.ANDROID,
+                device_id="m1",
+                user_id=1,
+                kind=RequestKind.CHUNK,
+                direction=Direction.STORE,
+                result=ResultCode.SHED,
             )
+            for i in range(5)
+        )
         snap = collector.snapshot()
         window = snap.windows[0]
         assert window["shed_rate"] == 1.0
