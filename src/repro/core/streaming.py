@@ -43,7 +43,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from ..logs.columnar import FILE_OP_CODE, STORE_CODE, ColumnarTrace
-from ..logs.stream import devices_by_user_columnar, tally_by_user_columnar
+from ..logs.stream import (
+    devices_by_user_columnar,
+    tally_by_user_columnar,
+    unique_rows,
+)
 from ..workload.config import DeviceGroup, UserType
 from .sessions import (
     DEFAULT_TAU,
@@ -456,10 +460,11 @@ class _DeviceFold:
     """Distinct ``(user, device, mobile)`` triples over the stream.
 
     Deduplicates per block (a few triples per user survive), then once
-    more at finalize.  Blocks normally share one device-pool tuple (the
-    merge emits a single part-wide pool), so the common case does no
-    string work at all; a block with a different pool is re-coded into
-    the fold's own pool.
+    more at finalize, both with :func:`~repro.logs.stream.unique_rows`: an
+    integer lexsort and a neighbour mask, not a row-wise ``np.unique``.
+    Blocks normally share one device-pool tuple (the merge emits a single
+    part-wide pool), so the common case does no string work at all; a
+    block with a different pool is re-coded into the fold's own pool.
     """
 
     def __init__(self) -> None:
@@ -485,15 +490,9 @@ class _DeviceFold:
                 lookup, np.arange(len(lookup))
             ):
                 codes = lookup[codes]
-        triples = np.stack(
-            [
-                block.user_id.astype(np.int64),
-                codes.astype(np.int64),
-                block.mobile_mask.astype(np.int64),
-            ],
-            axis=1,
+        self._triples.append(
+            unique_rows(block.user_id, codes, block.mobile_mask)
         )
-        self._triples.append(np.unique(triples, axis=0))
 
     def finalize(self, users: np.ndarray) -> dict[str, np.ndarray]:
         """Per-user device summary aligned with the ascending ``users``."""
@@ -502,7 +501,7 @@ class _DeviceFold:
         uses_pc = np.zeros(n, dtype=bool)
         mobile_count = np.zeros(n, dtype=np.int64)
         if self._triples:
-            triples = np.unique(np.concatenate(self._triples), axis=0)
+            triples = unique_rows(*np.concatenate(self._triples).T)
             mobile = triples[:, 2] == 1
             mob_users, mob_counts = np.unique(
                 triples[mobile, 0], return_counts=True

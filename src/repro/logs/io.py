@@ -193,6 +193,22 @@ def record_from_tsv(line: str) -> LogRecord:
         a field fails to parse.  Blank lines are malformed here; the file
         readers skip them before calling this.
     """
+    return _parse_tsv_line(line, [None] * 7)
+
+
+def _parse_tsv_line(line: str, last: list) -> LogRecord:
+    """:func:`record_from_tsv`, sharing objects with the previous line.
+
+    ``last`` is ``[device_id, user_id text, user_id, rtt text, rtt,
+    session_id text, session_id]`` of the line parsed before with the
+    same list (``None`` before the first), updated in place.  Where a
+    field's text repeats, the record reuses the previous line's object
+    instead of a new equal one; a user's consecutive records mostly
+    repeat all four, so a read trace holds far fewer objects.  A NaN
+    ``rtt`` is never shared: a record compares equal to itself field by
+    field, and sharing one NaN object would make two NaN-``rtt`` records
+    equal where two separately parsed ones are not.
+    """
     parts = line.rstrip("\r\n").split("\t")
     if len(parts) == _LEGACY_TSV_COLUMNS:
         parts.insert(11, ResultCode.OK.value)
@@ -201,20 +217,43 @@ def record_from_tsv(line: str) -> LogRecord:
             f"expected {len(TSV_COLUMNS)} columns, got {len(parts)}: {line!r}"
         )
     try:
+        device_id = parts[2]
+        if device_id == last[0]:
+            device_id = last[0]
+        else:
+            last[0] = device_id
+        text = parts[3]
+        if text == last[1]:
+            user_id = last[2]
+        else:
+            user_id = int(text)
+            last[1], last[2] = text, user_id
+        text = parts[9]
+        if text == last[3]:
+            rtt = last[4]
+        else:
+            rtt = float(text)
+            last[3], last[4] = (text, rtt) if rtt == rtt else (None, None)
+        text = parts[12]
+        if text == last[5]:
+            session_id = last[6]
+        else:
+            session_id = int(text)
+            last[5], last[6] = text, session_id
         return LogRecord(
             float(parts[0]),
             _DEVICE_TYPES[parts[1]],
-            parts[2],
-            int(parts[3]),
+            device_id,
+            user_id,
             _KINDS[parts[4]],
             _DIRECTIONS[parts[5]],
             int(parts[6]),
             float(parts[7]),
             float(parts[8]),
-            float(parts[9]),
+            rtt,
             parts[10] == "1",
             _RESULTS[parts[11]],
-            int(parts[12]),
+            session_id,
         )
     except KeyError:
         for index, name, table in _TSV_ENUM_COLUMNS:
@@ -275,12 +314,18 @@ def write_tsv(records: Iterable[LogRecord], path: str | Path) -> int:
 
 
 def read_tsv(path: str | Path) -> Iterator[LogRecord]:
-    """Stream records from a TSV file written by :func:`write_tsv`."""
+    """Stream records from a TSV file written by :func:`write_tsv`.
+
+    Consecutive records share their repeated ``device_id``, ``user_id``,
+    ``rtt`` and ``session_id`` objects (:func:`_parse_tsv_line`); the
+    reader keeps only the previous line's, so its state stays O(1).
+    """
+    last: list = [None] * 7
     with _open(path, "r") as fh:
         for line in fh:
             if not line.strip() or line.startswith("#"):
                 continue
-            yield record_from_tsv(line)
+            yield _parse_tsv_line(line, last)
 
 
 def write_jsonl(records: Iterable[LogRecord], path: str | Path) -> int:

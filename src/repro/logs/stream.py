@@ -206,6 +206,25 @@ def devices_by_user(records: Iterable[LogRecord]) -> dict[int, UserDevices]:
     return dict(users)
 
 
+def unique_rows(*columns: np.ndarray) -> np.ndarray:
+    """Distinct rows of equal-length integer columns, in ascending order.
+
+    Returns the ``(n, k)`` int64 array that
+    ``np.unique(np.stack(columns, axis=1), axis=0)`` returns, from one
+    :func:`np.lexsort` over the columns and a mask dropping each row equal
+    to its predecessor.  NumPy's ``axis=0`` unique sorts the rows as a
+    structured dtype, field by field, several times slower.
+    """
+    rows = np.stack(columns, axis=1).astype(np.int64, copy=False)
+    if len(rows) < 2:
+        return rows
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.empty(len(rows), dtype=bool)
+    keep[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
+
+
 def devices_by_user_columnar(trace: ColumnarTrace) -> dict[int, UserDevices]:
     """Vectorized :func:`devices_by_user` over a columnar trace.
 
@@ -220,11 +239,8 @@ def devices_by_user_columnar(trace: ColumnarTrace) -> dict[int, UserDevices]:
     if np.any(trace.user_id < 0) or trace.user_id.max() >= (1 << 62) // (
         2 * pool_size
     ):
-        # A packed key would overflow int64; unique over the raw triples.
-        triples = np.unique(
-            np.stack([trace.user_id, trace.device_code, mobile], axis=1),
-            axis=0,
-        )
+        # A packed key would overflow int64; dedup the raw triples.
+        triples = unique_rows(trace.user_id, trace.device_code, mobile)
         unique_users = triples[:, 0]
         unique_codes = triples[:, 1]
         flags = triples[:, 2].astype(bool).tolist()

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .schema import DeviceType, Direction, LogRecord
+from .schema import DeviceType, Direction, LogRecord, RequestKind
 
 
 @dataclass
@@ -32,31 +32,6 @@ class TraceSummary:
     records_by_platform: dict[DeviceType, int] = field(default_factory=dict)
     _mobile_users: set[int] = field(default_factory=set)
     _pc_users: set[int] = field(default_factory=set)
-
-    def add(self, record: LogRecord) -> None:
-        """Fold one record into the summary."""
-        self.n_records += 1
-        if record.is_file_op:
-            self.n_file_ops += 1
-        else:
-            self.n_chunks += 1
-            if record.direction is Direction.STORE:
-                self.stored_bytes += record.volume
-            else:
-                self.retrieved_bytes += record.volume
-        if record.proxied:
-            self.n_proxied += 1
-        self.first_timestamp = min(self.first_timestamp, record.timestamp)
-        self.last_timestamp = max(self.last_timestamp, record.timestamp)
-        self.users.add(record.user_id)
-        self.devices.add(record.device_id)
-        self.records_by_platform[record.device_type] = (
-            self.records_by_platform.get(record.device_type, 0) + 1
-        )
-        if record.is_mobile:
-            self._mobile_users.add(record.user_id)
-        else:
-            self._pc_users.add(record.user_id)
 
     # ------------------------------------------------------------------
     # Derived statistics
@@ -126,8 +101,58 @@ class TraceSummary:
 
 
 def summarize(records: Iterable[LogRecord]) -> TraceSummary:
-    """Build a :class:`TraceSummary` in one streaming pass."""
-    summary = TraceSummary()
+    """Build a :class:`TraceSummary` in one streaming pass.
+
+    One loop over the records with local accumulators; the summary is
+    built once at the end.  Sets and the platform dict are filled in
+    record order, so they equal (and iterate like) a record-at-a-time
+    fold's.
+    """
+    file_op, store, pc = RequestKind.FILE_OP, Direction.STORE, DeviceType.PC
+    n_records = n_file_ops = n_proxied = stored_bytes = retrieved_bytes = 0
+    first_timestamp, last_timestamp = math.inf, -math.inf
+    users: set[int] = set()
+    devices: set[str] = set()
+    records_by_platform: dict[DeviceType, int] = {}
+    mobile_users: set[int] = set()
+    pc_users: set[int] = set()
     for record in records:
-        summary.add(record)
-    return summary
+        n_records += 1
+        if record.kind is file_op:
+            n_file_ops += 1
+        elif record.direction is store:
+            stored_bytes += record.volume
+        else:
+            retrieved_bytes += record.volume
+        if record.proxied:
+            n_proxied += 1
+        # min()/max() semantics: keep the first of equal values.
+        timestamp = record.timestamp
+        if timestamp < first_timestamp:
+            first_timestamp = timestamp
+        if timestamp > last_timestamp:
+            last_timestamp = timestamp
+        user_id = record.user_id
+        users.add(user_id)
+        devices.add(record.device_id)
+        device_type = record.device_type
+        records_by_platform[device_type] = records_by_platform.get(device_type, 0) + 1
+        if device_type is pc:
+            pc_users.add(user_id)
+        else:
+            mobile_users.add(user_id)
+    return TraceSummary(
+        n_records=n_records,
+        n_file_ops=n_file_ops,
+        n_chunks=n_records - n_file_ops,
+        n_proxied=n_proxied,
+        stored_bytes=stored_bytes,
+        retrieved_bytes=retrieved_bytes,
+        first_timestamp=first_timestamp,
+        last_timestamp=last_timestamp,
+        users=users,
+        devices=devices,
+        records_by_platform=records_by_platform,
+        _mobile_users=mobile_users,
+        _pc_users=pc_users,
+    )

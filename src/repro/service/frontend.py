@@ -83,6 +83,19 @@ class TransferModel:
     client_rwnd: int = 2 * 1024 * 1024
     restart_penalty_rtts: float = 4.0
 
+    def rate(self, rtt: float, bandwidth: float, direction: Direction) -> float:
+        """Bytes per second of a transfer: ``min(window / rtt, bandwidth)``.
+
+        Raises :class:`ValueError` unless ``rtt`` and ``bandwidth`` are
+        positive, the check :meth:`transfer_time` makes through it.
+        """
+        if rtt <= 0 or bandwidth <= 0:
+            raise ValueError("rtt and bandwidth must be positive")
+        window = (
+            self.server_rwnd if direction is Direction.STORE else self.client_rwnd
+        )
+        return min(window / rtt, bandwidth)
+
     def transfer_time(
         self,
         size: int,
@@ -99,15 +112,9 @@ class TransferModel:
         """
         if size < 0:
             raise ValueError("size must be >= 0")
-        if rtt <= 0 or bandwidth <= 0:
-            raise ValueError("rtt and bandwidth must be positive")
+        rate = self.rate(rtt, bandwidth, direction)
         if size == 0:
             return 0.0
-        window = (
-            self.server_rwnd if direction is Direction.STORE else self.client_rwnd
-        )
-        window_rate = window / rtt
-        rate = min(window_rate, bandwidth)
         time = size / rate
         if restarted:
             time += self.restart_penalty_rtts * rtt

@@ -28,10 +28,13 @@ relies on this contract to shard generation across processes.
 Draws go through :mod:`repro.workload.sampling` where a scalar NumPy call
 would cost more than the sample: runs of same-distribution draws become one
 array draw, uniforms one ``rng.random()``, categorical choices a cached
-CDF.  The rule for every such rewrite: a batched draw must consume the
-stream exactly as the scalar draws it replaces, value for value, so the
-trace stays bit-identical.  The golden fixtures (``tests/data/``) and
-``tests/test_rng_equivalence.py`` are the guard.
+CDF.  A file's chunks draw their alternating Tsrv/Tclt lognormals as one
+``standard_normal(2n)`` inside the session's emission loop.  The rule for
+every such rewrite: a batched draw must consume the stream exactly as the
+scalar draws it replaces, value for value, so the trace stays
+bit-identical.  The golden fixtures (``tests/data/``),
+``tests/test_rng_equivalence.py`` and the per-file emission oracle in
+``tests/test_analysis_fast_paths.py`` are the guard.
 """
 
 from __future__ import annotations
@@ -55,12 +58,12 @@ from ..logs.columnar import (
 )
 from ..logs.schema import CHUNK_SIZE, DeviceType, Direction, LogRecord
 from ..service.frontend import TransferModel
-from ..tcpsim.devices import DEFAULT_SERVER, DeviceProfile, ServerProfile, profile_for
+from ..tcpsim.devices import DEFAULT_SERVER, ServerProfile, profile_for
 from ..tcpsim.rto import paper_rto_estimate
 from .config import UserType, WorkloadConfig
 from .diurnal import SECONDS_PER_DAY, DiurnalSampler
 from .population import UserSpec, build_population
-from .sampling import lognormal_pairs, pow10_normals, uniform
+from .sampling import pow10_normals, uniform
 from .sessions import SessionClass, SessionPlan, SessionPlanner
 
 #: Session ids are namespaced per user: user ``u``'s ``k``-th session gets
@@ -227,9 +230,9 @@ class TraceGenerator:
                 used_platforms.add(device.device_type is DeviceType.PC)
                 session_index += 1
                 session_id = user.user_id * SESSION_ID_STRIDE + session_index
-                rows.extend(
-                    self._emit_session(user, device.device_id, device.device_type,
-                                       plan, base, session_id, rng)
+                self._emit_session(
+                    rows, user, device.device_id, device.device_type, plan,
+                    base, session_id, rng,
                 )
                 base += uniform(rng, 0.5 * gap_hi, gap_hi) * 3600.0
         rows.sort(key=_by_timestamp)
@@ -376,6 +379,7 @@ class TraceGenerator:
 
     def _emit_session(
         self,
+        rows: list[Row],
         user: UserSpec,
         device_id: str,
         device_type: DeviceType,
@@ -383,116 +387,116 @@ class TraceGenerator:
         start: float,
         session_id: int,
         rng: np.random.Generator,
-    ) -> list[Row]:
-        """Emit one session: bursty file operations, then chunk streams."""
-        intervals = self.config.intervals
-        rows: list[Row] = []
+    ) -> None:
+        """Append one session to ``rows``: bursty file operations, then
+        the chunk streams that move the files.
 
-        ops: list[tuple[Direction, int]] = [
-            (Direction.STORE, size) for size in plan.store_sizes
-        ] + [(Direction.RETRIEVE, size) for size in plan.retrieve_sizes]
+        Rows are appended in emission order; the caller's one stable sort
+        by timestamp orders them (a per-session sort before it would give
+        the same order).
+
+        Each file's chunk rows come from one loop over its chunks, with
+        the session's constants (RTO, restart penalty, Tsrv parameters)
+        and each direction's (transfer rate, Tclt parameters) computed
+        once.  The draws per file are one ``random()`` (the queueing
+        jitter) then one ``standard_normal(2n)`` (the chunks' alternating
+        Tsrv, Tclt), so the stream is consumed exactly as by drawing each
+        file's chunks separately.
+        """
+        intervals = self.config.intervals
+        store_sizes = plan.store_sizes
+        retrieve_sizes = plan.retrieve_sizes
+        n_ops = len(store_sizes) + len(retrieve_sizes)
 
         # Large sessions are always app-batched (multi-select backup);
         # smaller multi-op sessions are batched with probability
         # p_batch_small, else the user drives them one file at a time.
-        batch_mode = len(ops) > intervals.batch_threshold or (
-            len(ops) > 1 and rng.random() < intervals.p_batch_small
+        batch_mode = n_ops > intervals.batch_threshold or (
+            n_ops > 1 and rng.random() < intervals.p_batch_small
         )
         mean_log10, std_log10 = (
             (intervals.batch_mean_log10, intervals.batch_std_log10)
             if batch_mode
             else (intervals.within_mean_log10, intervals.within_std_log10)
         )
-
-        gaps = pow10_normals(rng, mean_log10, std_log10, len(ops) - 1)
-        op_time = start
-        op_times: list[tuple[float, Direction, int]] = []
-        for index, (direction, size) in enumerate(ops):
-            if index:
-                op_time += gaps[index - 1]
-            op_times.append((op_time, direction, size))
+        op_times = [start]
+        for gap in pow10_normals(rng, mean_log10, std_log10, n_ops - 1):
+            op_times.append(op_times[-1] + gap)
 
         device_code = DEVICE_CODE[device_type]
         user_id = user.user_id
         rtt = user.rtt
         proxied = user.proxied
         tsrv_meta = float(self._server.tsrv.sample(rng)) * 0.2
-        for when, direction, _size in op_times:
+        op_codes = [STORE_CODE] * len(store_sizes) + [RETRIEVE_CODE] * len(
+            retrieve_sizes
+        )
+        for when, direction_code in zip(op_times, op_codes):
             rows.append((
                 when, device_code, device_id, user_id, FILE_OP_CODE,
-                STORE_CODE if direction is Direction.STORE else RETRIEVE_CODE,
-                0, tsrv_meta, tsrv_meta, rtt, proxied, OK_CODE, session_id,
+                direction_code, 0, tsrv_meta, tsrv_meta, rtt, proxied,
+                OK_CODE, session_id,
             ))
 
-        if self.options.emit_chunks and not user.dedup_only:
-            # Transfers share the device's link: each file's chunk stream
-            # starts once the previous file finished (the app's transfer
-            # queue), which is what stretches sessions far beyond the
-            # operating time and produces the Fig 4 burstiness.
-            profile = profile_for(device_type)
-            transfer_clock = 0.0
-            for when, direction, size in op_times:
-                start = max(when + uniform(rng, 0.05, 0.3), transfer_clock)
-                transfer_clock = self._emit_chunks(
-                    rows, user, device_id, device_code, profile, direction,
-                    size, start, session_id, rng,
-                )
-        rows.sort(key=_by_timestamp)
-        return rows
-
-    def _emit_chunks(
-        self,
-        rows: list[Row],
-        user: UserSpec,
-        device_id: str,
-        device_code: int,
-        profile: DeviceProfile,
-        direction: Direction,
-        file_size: int,
-        start: float,
-        session_id: int,
-        rng: np.random.Generator,
-    ) -> float:
-        """Append the chunk requests moving one file to ``rows``.
-
-        Returns the time the transfer finished, so the caller can queue
-        the next file behind it.
-        """
-        n_full = max(1, math.ceil(file_size / CHUNK_SIZE))
-        n_records = min(n_full, self.options.max_chunks_per_file)
-        # Volumes per emitted record, preserving the exact file size.
-        base_volume, remainder = divmod(file_size, n_records)
-        volumes = [base_volume + (1 if i < remainder else 0) for i in range(n_records)]
-
-        is_store = direction is Direction.STORE
-        direction_code = STORE_CODE if is_store else RETRIEVE_CODE
-        tclt_dist = profile.tclt(is_store)
-        user_id = user.user_id
-        rtt = user.rtt
-        proxied = user.proxied
+        if not n_ops or not self.options.emit_chunks or user.dedup_only:
+            return
+        # Transfers share the device's link: each file's chunk stream
+        # starts once the previous file finished (the app's transfer
+        # queue), which is what stretches sessions far beyond the
+        # operating time and produces the Fig 4 burstiness.
+        max_chunks = self.options.max_chunks_per_file
+        profile = profile_for(device_type)
         rto = paper_rto_estimate(rtt)
-        bandwidth = user.bandwidth * (
-            1.0 if is_store else self.config.network.downlink_factor
-        )
-        # Each chunk draws Tsrv then Tclt; all of a file's draws come at once.
-        tsrvs, tclts = lognormal_pairs(rng, self._server.tsrv, tclt_dist, n_records)
-        transfer_time = self._transfer.transfer_time
-        clock = start
-        idle = 0.0
-        for index, volume in enumerate(volumes):
-            restarted = index > 0 and idle > rto
-            tsrv = tsrvs[index]
-            ttran = transfer_time(volume, rtt, bandwidth, direction, restarted)
-            tchunk = ttran + tsrv
-            rows.append((
-                clock, device_code, device_id, user_id, CHUNK_CODE,
-                direction_code, volume, tchunk, tsrv, rtt, proxied, OK_CODE,
-                session_id,
-            ))
-            tclt = tclts[index]
-            clock += tchunk + tclt
-            idle = tsrv + tclt
-        return clock
+        restart_penalty = self._transfer.restart_penalty_rtts * rtt
+        tsrv_mu, tsrv_sigma = self._server.tsrv.mu, self._server.tsrv.sigma
+        exp = math.exp
+        op_index = 0
+        transfer_clock = 0.0
+        for direction, sizes in (
+            (Direction.STORE, store_sizes),
+            (Direction.RETRIEVE, retrieve_sizes),
+        ):
+            if not sizes:
+                continue
+            is_store = direction is Direction.STORE
+            direction_code = STORE_CODE if is_store else RETRIEVE_CODE
+            bandwidth = user.bandwidth * (
+                1.0 if is_store else self.config.network.downlink_factor
+            )
+            rate = self._transfer.rate(rtt, bandwidth, direction)
+            tclt = profile.tclt(is_store)
+            tclt_mu, tclt_sigma = tclt.mu, tclt.sigma
+            for size in sizes:
+                clock = max(
+                    op_times[op_index] + uniform(rng, 0.05, 0.3), transfer_clock
+                )
+                op_index += 1
+                # Capped record count; volumes sum to the exact file size.
+                # Planned files hold at least one byte
+                # (:func:`~repro.workload.sessions.spread_file_sizes`), so
+                # every chunk moves a payload and ttran is volume / rate.
+                n_records = min(
+                    max(1, math.ceil(size / CHUNK_SIZE)), max_chunks
+                )
+                base_volume, remainder = divmod(size, n_records)
+                z = rng.standard_normal(2 * n_records).tolist()
+                idle = 0.0  # below the RTO: a file's first chunk never restarts
+                for index in range(n_records):
+                    volume = base_volume + 1 if index < remainder else base_volume
+                    tsrv = exp(tsrv_mu + tsrv_sigma * z[2 * index])
+                    ttran = volume / rate
+                    if idle > rto:
+                        ttran += restart_penalty
+                    tchunk = ttran + tsrv
+                    rows.append((
+                        clock, device_code, device_id, user_id, CHUNK_CODE,
+                        direction_code, volume, tchunk, tsrv, rtt, proxied,
+                        OK_CODE, session_id,
+                    ))
+                    tclt = exp(tclt_mu + tclt_sigma * z[2 * index + 1])
+                    clock += tchunk + tclt
+                    idle = tsrv + tclt
+                transfer_clock = clock
 
 
 def generate_trace(

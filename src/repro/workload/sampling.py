@@ -10,7 +10,7 @@ because it is built from NumPy's own definitions:
   ``normal(loc, scale) = loc + scale * standard_normal()``, and an array
   of standard normals fills in stream order, so a run of scalar
   lognormal/normal calls is one ``standard_normal(n)`` draw
-  (:func:`lognormal_pairs`, :func:`pow10_normals`);
+  (:func:`pow10_normals`, and the generator's per-file chunk draws);
 * ``uniform(low, high) = low + (high - low) * random()``
   (:func:`uniform`);
 * ``choice(k, p=p)`` validates ``p``, builds ``cdf = cumsum(p) / sum``
@@ -32,7 +32,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..tcpsim.devices import Lognormal
 
 #: NumPy's tolerance on ``sum(p) - 1`` for float64 probabilities.
 _ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -80,22 +79,6 @@ def categorical(rng: np.random.Generator, p: tuple[float, ...]) -> int:
     it, raising the same :class:`ValueError`, the first time it is seen.
     """
     return bisect_right(_cdf(p), rng.random())
-
-
-def lognormal_pairs(
-    rng: np.random.Generator, first: Lognormal, second: Lognormal, n: int
-) -> tuple[list[float], list[float]]:
-    """``n`` alternating draws ``first.sample(rng)``, ``second.sample(rng)``.
-
-    Returns the ``first`` draws and the ``second`` draws as two lists.
-    """
-    z = rng.standard_normal(2 * n).tolist()
-    exp = math.exp
-    mu, sigma = first.mu, first.sigma
-    firsts = [exp(mu + sigma * value) for value in z[0::2]]
-    mu, sigma = second.mu, second.sigma
-    seconds = [exp(mu + sigma * value) for value in z[1::2]]
-    return firsts, seconds
 
 
 def pow10_normals(

@@ -21,21 +21,52 @@ asserts are record-for-record string comparisons:
 The oracles are the record-at-a-time implementations the columnar live
 path replaced, kept as the definitions it is tested against:
 :func:`sort_by_time` (the access-log merge order) and
-:func:`observe_record` (the per-record telemetry fold).
+:func:`observe_record` (the per-record telemetry fold).  The analysis
+path's are :class:`OracleDeviceFold` (row-wise ``np.unique`` device
+dedup), :class:`PerFileEmissionGenerator` (per-file chunk emission) and
+:func:`summarize_per_record` (the per-record summary fold).
+
+:func:`bench_replay_pass`, :func:`bench_paper_scale_digests` and
+:func:`bench_analyze_digest` mirror the benchmark workloads whose
+digests ``tests/data/digests.json`` pins.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
+import tempfile
+from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
+from repro.core.report import analyze_trace
+from repro.core.streaming import DEVICE_GROUPS, analyze_stream, report_from_columnar
 from repro.experiments.r4_open_loop import R4_RETRY_POLICY, correlated_config
-from repro.logs.io import record_to_tsv
-from repro.logs.schema import LogRecord, ResultCode
+from repro.logs.columnar import (
+    CHUNK_CODE,
+    DEVICE_CODE,
+    FILE_OP_CODE,
+    OK_CODE,
+    RETRIEVE_CODE,
+    STORE_CODE,
+    ColumnarTrace,
+)
+from repro.logs.io import open_reader, record_to_tsv, write_tsv
+from repro.logs.schema import CHUNK_SIZE, Direction, LogRecord, ResultCode
+from repro.logs.summary import TraceSummary, summarize
 from repro.service.cluster import ServiceCluster
 from repro.service.replay import replay_trace, synthetic_replay_trace
 from repro.service.telemetry import _WindowCounters
+from repro.tcpsim.devices import Lognormal, profile_for
+from repro.tcpsim.rto import paper_rto_estimate
+from repro.workload import GeneratorOptions
+from repro.workload.config import DeviceGroup
+from repro.workload.generator import TraceGenerator
+from repro.workload.parallel import generate_columnar_sharded
+from repro.workload.sampling import pow10_normals, uniform
 
 
 def canonical_lines(records: Iterable[LogRecord]) -> list[str]:
@@ -198,3 +229,324 @@ def bench_replay_pass(label: str):
     trace = synthetic_replay_trace(BENCH_REPLAY_USERS, 1)
     result = replay_trace(trace, cluster, seed=BENCH_REPLAY_SEED, **kwargs)
     return result, cluster, taken
+
+
+# ----------------------------------------------------------------------
+# The ``analysis`` benchmark workload: its ``paper-scale`` and ``analyze``
+# batches, and the CI ``repro paper-scale --check`` run
+# ----------------------------------------------------------------------
+
+#: ``benchmarks/perf`` ``--workload paper-scale``: mobile users (PC-only
+#: users are an eighth of them), chunk cap, shards, merge block rows and
+#: the user count of the set-up check against the in-memory engine.
+BENCH_PAPER_SCALE = {
+    "users": 1200,
+    "max_chunks": 4,
+    "shards": 4,
+    "block_rows": 1024,
+    "check_users": 200,
+}
+#: ``benchmarks/perf`` ``--workload analyze``: ``repro generate`` defaults.
+BENCH_ANALYZE_USERS = 600
+BENCH_ANALYZE_MAX_CHUNKS = 8
+#: The CI ``paper-scale-smoke`` job's ``repro paper-scale`` arguments.
+CI_PAPER_SCALE = {
+    "users": 3000,
+    "pc_users": 600,
+    "max_chunks": 8,
+    "shards": 4,
+    "block_rows": 65536,
+    "seed": 7,
+}
+
+
+def paper_scale_digest(
+    users: int,
+    *,
+    pc_users: int,
+    max_chunks: int,
+    shards: int,
+    block_rows: int,
+    seed: int,
+) -> str:
+    """The streaming report digest of one sharded columnar generation.
+
+    Generates in-process (the digest is the same for every worker
+    count), folds the merged blocks and asserts the in-memory engine
+    agrees, as ``repro paper-scale --check`` and the benchmark's set-up
+    do.
+    """
+    with tempfile.TemporaryDirectory() as part_dir:
+        sharded = generate_columnar_sharded(
+            users,
+            n_pc_only_users=pc_users,
+            options=GeneratorOptions(max_chunks_per_file=max_chunks),
+            seed=seed,
+            n_shards=shards,
+            n_workers=1,
+            part_dir=part_dir,
+        )
+        digest = analyze_stream(
+            sharded.merged_blocks(block_rows=block_rows)
+        ).digest()
+        whole = report_from_columnar(
+            ColumnarTrace.concatenate(sharded.open_parts()).sorted_by_user_time()
+        ).digest()
+    assert digest == whole, "streaming digest differs from the in-memory engine"
+    return digest
+
+
+def bench_paper_scale_digests(seed: int = 1) -> dict[str, str]:
+    """The ``paper-scale`` batch's ``report`` and ``check`` digests."""
+    size = BENCH_PAPER_SCALE
+
+    def digest(users: int) -> str:
+        return paper_scale_digest(
+            users,
+            pc_users=users // 8,
+            max_chunks=size["max_chunks"],
+            shards=size["shards"],
+            block_rows=size["block_rows"],
+            seed=seed,
+        )
+
+    return {"report": digest(size["users"]), "check": digest(size["check_users"])}
+
+
+def bench_analyze_digest(seed: int = 1) -> str:
+    """The ``analyze`` batch's ``findings`` digest (``repro analyze --fast``)."""
+    generator = TraceGenerator(
+        BENCH_ANALYZE_USERS,
+        options=GeneratorOptions(max_chunks_per_file=BENCH_ANALYZE_MAX_CHUNKS),
+        seed=seed,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.tsv"
+        write_tsv(generator.generate(), path)
+        records = list(open_reader(path))
+    summary = summarize(records).render()
+    findings = analyze_trace(records, fit_size_model=False)
+    values = [row.value for row in findings.rows()]
+    return hashlib.md5(
+        "\n".join(
+            [
+                summary,
+                repr(values),
+                repr(findings.interval_model.tau),
+                str(findings.session_shares),
+            ]
+        ).encode()
+    ).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Analysis-path oracles: the per-row definitions the folds replaced
+# ----------------------------------------------------------------------
+
+
+class OracleDeviceFold:
+    """The streaming device fold deduplicating with ``np.unique(axis=0)``.
+
+    The definition :class:`repro.core.streaming._DeviceFold` is tested
+    against: the same pool re-coding, then a row-wise ``np.unique`` over
+    the stacked ``(user, device, mobile)`` triples per block and once more
+    at finalize.
+    """
+
+    def __init__(self) -> None:
+        self._pool_tuple = None
+        self._pool_index: dict[str, int] = {}
+        self.triples: list[np.ndarray] = []
+
+    def feed(self, block: ColumnarTrace) -> None:
+        if not len(block):
+            return
+        codes = block.device_code
+        if self._pool_tuple is None or block.device_pool is not self._pool_tuple:
+            if self._pool_tuple is None:
+                self._pool_tuple = block.device_pool
+            lookup = np.asarray(
+                [
+                    self._pool_index.setdefault(d, len(self._pool_index))
+                    for d in block.device_pool
+                ],
+                dtype=np.int64,
+            )
+            if len(lookup) and not np.array_equal(lookup, np.arange(len(lookup))):
+                codes = lookup[codes]
+        triples = np.stack(
+            [
+                block.user_id.astype(np.int64),
+                codes.astype(np.int64),
+                block.mobile_mask.astype(np.int64),
+            ],
+            axis=1,
+        )
+        self.triples.append(np.unique(triples, axis=0))
+
+    def finalize(self, users: np.ndarray) -> dict[str, np.ndarray]:
+        n = len(users)
+        uses_mobile = np.zeros(n, dtype=bool)
+        uses_pc = np.zeros(n, dtype=bool)
+        mobile_count = np.zeros(n, dtype=np.int64)
+        if self.triples:
+            triples = np.unique(np.concatenate(self.triples), axis=0)
+            mobile = triples[:, 2] == 1
+            mob_users, mob_counts = np.unique(triples[mobile, 0], return_counts=True)
+            idx = np.searchsorted(users, mob_users)
+            uses_mobile[idx] = True
+            mobile_count[idx] = mob_counts
+            uses_pc[np.searchsorted(users, np.unique(triples[~mobile, 0]))] = True
+        code = {group: i for i, group in enumerate(DEVICE_GROUPS)}
+        group_code = np.where(
+            uses_mobile & uses_pc,
+            code[DeviceGroup.MOBILE_AND_PC],
+            np.where(
+                uses_mobile,
+                np.where(
+                    mobile_count == 1,
+                    code[DeviceGroup.ONE_MOBILE],
+                    code[DeviceGroup.MULTI_MOBILE],
+                ),
+                code[DeviceGroup.PC_ONLY],
+            ),
+        ).astype(np.uint8)
+        return {"device_group_code": group_code, "mobile_count": mobile_count}
+
+
+class PerFileEmissionGenerator(TraceGenerator):
+    """The generator emitting each file's chunks in a method of its own.
+
+    The definition the one-loop :meth:`TraceGenerator._emit_session` is
+    tested against: per file, ``_emit_chunks`` draws the chunks' Tsrv/Tclt
+    through :func:`lognormal_pairs`, prices each
+    chunk with :meth:`TransferModel.transfer_time` and recomputes the RTO
+    and bandwidth; each session's rows are sorted before they join the
+    user's.
+    """
+
+    def _emit_session(
+        self, rows, user, device_id, device_type, plan, start, session_id, rng
+    ) -> None:
+        intervals = self.config.intervals
+        session_rows: list = []
+        ops = [(Direction.STORE, size) for size in plan.store_sizes] + [
+            (Direction.RETRIEVE, size) for size in plan.retrieve_sizes
+        ]
+        batch_mode = len(ops) > intervals.batch_threshold or (
+            len(ops) > 1 and rng.random() < intervals.p_batch_small
+        )
+        mean_log10, std_log10 = (
+            (intervals.batch_mean_log10, intervals.batch_std_log10)
+            if batch_mode
+            else (intervals.within_mean_log10, intervals.within_std_log10)
+        )
+        gaps = pow10_normals(rng, mean_log10, std_log10, len(ops) - 1)
+        op_time = start
+        op_times = []
+        for index, (direction, size) in enumerate(ops):
+            if index:
+                op_time += gaps[index - 1]
+            op_times.append((op_time, direction, size))
+        device_code = DEVICE_CODE[device_type]
+        tsrv_meta = float(self._server.tsrv.sample(rng)) * 0.2
+        for when, direction, _size in op_times:
+            session_rows.append((
+                when, device_code, device_id, user.user_id, FILE_OP_CODE,
+                STORE_CODE if direction is Direction.STORE else RETRIEVE_CODE,
+                0, tsrv_meta, tsrv_meta, user.rtt, user.proxied, OK_CODE,
+                session_id,
+            ))
+        if self.options.emit_chunks and not user.dedup_only:
+            profile = profile_for(device_type)
+            transfer_clock = 0.0
+            for when, direction, size in op_times:
+                start = max(when + uniform(rng, 0.05, 0.3), transfer_clock)
+                transfer_clock = self._emit_chunks(
+                    session_rows, user, device_id, device_code, profile,
+                    direction, size, start, session_id, rng,
+                )
+        session_rows.sort(key=lambda row: row[0])
+        rows.extend(session_rows)
+
+    def _emit_chunks(
+        self, rows, user, device_id, device_code, profile, direction, file_size,
+        start, session_id, rng,
+    ) -> float:
+        n_full = max(1, math.ceil(file_size / CHUNK_SIZE))
+        n_records = min(n_full, self.options.max_chunks_per_file)
+        base_volume, remainder = divmod(file_size, n_records)
+        volumes = [base_volume + (1 if i < remainder else 0) for i in range(n_records)]
+        is_store = direction is Direction.STORE
+        rtt = user.rtt
+        rto = paper_rto_estimate(rtt)
+        bandwidth = user.bandwidth * (
+            1.0 if is_store else self.config.network.downlink_factor
+        )
+        tsrvs, tclts = lognormal_pairs(
+            rng, self._server.tsrv, profile.tclt(is_store), n_records
+        )
+        clock = start
+        idle = 0.0
+        for index, volume in enumerate(volumes):
+            restarted = index > 0 and idle > rto
+            tsrv = tsrvs[index]
+            ttran = self._transfer.transfer_time(
+                volume, rtt, bandwidth, direction, restarted
+            )
+            tchunk = ttran + tsrv
+            rows.append((
+                clock, device_code, device_id, user.user_id, CHUNK_CODE,
+                STORE_CODE if is_store else RETRIEVE_CODE, volume, tchunk,
+                tsrv, rtt, user.proxied, OK_CODE, session_id,
+            ))
+            tclt = tclts[index]
+            clock += tchunk + tclt
+            idle = tsrv + tclt
+        return clock
+
+
+def lognormal_pairs(
+    rng: np.random.Generator, first: Lognormal, second: Lognormal, n: int
+) -> tuple[list[float], list[float]]:
+    """``n`` alternating draws ``first.sample(rng)``, ``second.sample(rng)``.
+
+    Returns the ``first`` draws and the ``second`` draws as two lists,
+    from one ``standard_normal(2n)`` draw: the chunk draws of
+    :class:`PerFileEmissionGenerator`.
+    """
+    z = rng.standard_normal(2 * n).tolist()
+    firsts = [math.exp(first.mu + first.sigma * value) for value in z[0::2]]
+    seconds = [math.exp(second.mu + second.sigma * value) for value in z[1::2]]
+    return firsts, seconds
+
+
+def summarize_per_record(records: Iterable[LogRecord]) -> TraceSummary:
+    """The record-at-a-time summary fold :func:`~repro.logs.summary.summarize`
+    replaced: every field of one :class:`TraceSummary` updated per record.
+    """
+    s = TraceSummary()
+    for record in records:
+        s.n_records += 1
+        if record.is_file_op:
+            s.n_file_ops += 1
+        else:
+            s.n_chunks += 1
+            if record.direction is Direction.STORE:
+                s.stored_bytes += record.volume
+            else:
+                s.retrieved_bytes += record.volume
+        if record.proxied:
+            s.n_proxied += 1
+        s.first_timestamp = min(s.first_timestamp, record.timestamp)
+        s.last_timestamp = max(s.last_timestamp, record.timestamp)
+        s.users.add(record.user_id)
+        s.devices.add(record.device_id)
+        s.records_by_platform[record.device_type] = (
+            s.records_by_platform.get(record.device_type, 0) + 1
+        )
+        if record.is_mobile:
+            s._mobile_users.add(record.user_id)
+        else:
+            s._pc_users.add(record.user_id)
+    return s

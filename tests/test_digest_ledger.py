@@ -3,28 +3,67 @@
 Each entry names one contract digest, the command that prints it and
 where in that command's output it appears.  This test recomputes every
 entry in-process, so a change that moves a pinned digest fails here and
-has to edit the ledger, where the move shows in the diff.  The
-``replay.*`` entries are the six ``replay`` benchmark digests at seed 1
-(:data:`tests.helpers.BENCH_REPLAY_PASSES` mirrors that workload).
+has to edit the ledger, where the move shows in the diff.
+
+* ``replay.*``: the six ``replay`` benchmark digests at seed 1
+  (:data:`tests.helpers.BENCH_REPLAY_PASSES` mirrors that workload);
+* ``analysis.paper-scale.*`` and ``analysis.analyze.*``: the ``analysis``
+  benchmark digests at seed 1 (:func:`tests.helpers.bench_paper_scale_digests`
+  and :func:`tests.helpers.bench_analyze_digest` mirror its two batches);
+* ``analysis.paper-scale-smoke.digest``: the CI ``repro paper-scale
+  --check`` run (:data:`tests.helpers.CI_PAPER_SCALE`).
 """
 
+import functools
 import hashlib
 import json
 import pathlib
 
 import pytest
 
-from tests.helpers import BENCH_REPLAY_PASSES, bench_replay_pass
+from tests.helpers import (
+    BENCH_REPLAY_PASSES,
+    CI_PAPER_SCALE,
+    bench_analyze_digest,
+    bench_paper_scale_digests,
+    bench_replay_pass,
+    paper_scale_digest,
+)
 
 LEDGER = pathlib.Path(__file__).parent / "data" / "digests.json"
+
+ANALYSIS_ENTRIES = {
+    "analysis.paper-scale.report",
+    "analysis.paper-scale.check",
+    "analysis.analyze.findings",
+    "analysis.paper-scale-smoke.digest",
+}
 
 
 def ledger() -> dict[str, dict]:
     return json.loads(LEDGER.read_text())["digests"]
 
 
+@functools.lru_cache(maxsize=None)
+def _paper_scale() -> dict[str, str]:
+    return bench_paper_scale_digests()
+
+
+def _recompute_analysis(label: str, part: str) -> str:
+    if label == "paper-scale":
+        return _paper_scale()[part]
+    if label == "analyze":
+        assert part == "findings", part
+        return bench_analyze_digest()
+    assert (label, part) == ("paper-scale-smoke", "digest"), (label, part)
+    ci = dict(CI_PAPER_SCALE)
+    return paper_scale_digest(ci.pop("users"), **ci)
+
+
 def recompute(name: str) -> str:
     kind, label, part = name.split(".")
+    if kind == "analysis":
+        return _recompute_analysis(label, part)
     assert kind == "replay", f"no recipe for ledger entry {name!r}"
     result, _cluster, _taken = bench_replay_pass(label)
     if part == "log":
@@ -40,6 +79,10 @@ def test_ledger_covers_every_replay_pass():
     for entry in ledger().values():
         assert set(entry) == {"command", "digest", "reads"}
         assert len(entry["digest"]) == 32
+
+
+def test_ledger_covers_every_analysis_digest():
+    assert ANALYSIS_ENTRIES <= set(ledger())
 
 
 @pytest.mark.parametrize("name", sorted(ledger()))

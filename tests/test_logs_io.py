@@ -141,6 +141,61 @@ def test_read_tsv_gz_trailing_blank_lines_and_crlf(tmp_path):
     assert list(read_tsv(path)) == SAMPLE
 
 
+def _same_device_lines(n: int, rtt: str = "0.05") -> list[str]:
+    """``n`` TSV lines of one user, device, RTT and session."""
+    return [
+        "\t".join(
+            [f"{i}.5", "ios", "dev-7", "123456789", "chunk", "store", "1024",
+             "0.5", "0.1", rtt, "0", "ok", "8675309"]
+        )
+        for i in range(n)
+    ]
+
+
+def test_read_tsv_shares_repeated_fields_across_consecutive_lines(tmp_path):
+    lines = _same_device_lines(3)
+    other = lines[0].replace("dev-7", "dev-8").replace("123456789", "42")
+    legacy = "\t".join(lines[0].split("\t")[:11] + ["8675309"])
+    text = [lines[0], "# comment", "", lines[1], other, lines[2], legacy]
+    path = tmp_path / "trace.tsv"
+    path.write_text("\n".join(text) + "\n")
+    records = list(read_tsv(path))
+    assert records == [record_from_tsv(line) for line in text if line and line[0] != "#"]
+    first, second, switched, back, old = records
+    for name in ("device_id", "user_id", "rtt", "session_id"):
+        assert getattr(second, name) is getattr(first, name), name
+        assert getattr(old, name) is getattr(back, name), name
+    assert switched.device_id == "dev-8" and switched.user_id == 42
+    assert switched.rtt is first.rtt
+    assert back.device_id == "dev-7" and back.user_id == 123456789
+    assert [r.session_id for r in records] == [8675309] * 5
+
+
+def test_read_tsv_never_shares_a_nan_rtt(tmp_path):
+    lines = _same_device_lines(3, rtt="nan")
+    path = tmp_path / "trace.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    records = list(read_tsv(path))
+    parsed = [record_from_tsv(line) for line in lines]
+    assert records[0].device_id is records[1].device_id
+    assert records[0].rtt is not records[1].rtt
+    # Equality is what separately parsed records give: NaN != NaN.
+    assert records[0] != records[1]
+    assert [a == b for a in records for b in records] == [
+        a == b for a in parsed for b in parsed
+    ]
+
+
+def test_read_tsv_bad_enum_after_a_good_line_names_the_column(tmp_path):
+    good = _same_device_lines(1)[0]
+    path = tmp_path / "trace.tsv"
+    path.write_text(good + "\n" + good.replace("chunk", "chunky") + "\n")
+    reader = read_tsv(path)
+    assert next(reader) == record_from_tsv(good)
+    with pytest.raises(ValueError, match="kind.*'chunky'"):
+        next(reader)
+
+
 def test_read_jsonl_trailing_blank_lines(tmp_path):
     path = tmp_path / "trace.jsonl"
     write_jsonl(SAMPLE, path)

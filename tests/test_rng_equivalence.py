@@ -1,7 +1,9 @@
 """The generator's batched and cached draws against the NumPy calls they replace.
 
-Each helper in :mod:`repro.workload.sampling` must return bit-identical
-values and leave ``rng.bit_generator.state`` exactly where the scalar
+Each helper in :mod:`repro.workload.sampling`, and the per-file chunk
+draws of :func:`tests.helpers.lognormal_pairs` (the oracle the generator's
+chunk loop is compared with), must return bit-identical values and leave
+``rng.bit_generator.state`` exactly where the scalar
 :class:`numpy.random.Generator` calls would.  The golden trace fixtures
 catch a drift only as a moved digest; these tests name the NumPy
 definition that stopped holding.
@@ -15,12 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tcpsim.devices import Lognormal
-from repro.workload.sampling import (
-    categorical,
-    lognormal_pairs,
-    pow10_normals,
-    uniform,
-)
+from repro.workload.sampling import categorical, pow10_normals, uniform
+from tests.helpers import lognormal_pairs
 
 seeds = st.integers(0, 2**32 - 1)
 finite = st.floats(-5.0, 5.0, allow_nan=False)
