@@ -91,14 +91,21 @@ DEVICE_CODE_BY_VALUE = {m.value: c for m, c in DEVICE_CODE.items()}
 KIND_CODE_BY_VALUE = {m.value: c for m, c in KIND_CODE.items()}
 DIRECTION_CODE_BY_VALUE = {m.value: c for m, c in DIRECTION_CODE.items()}
 RESULT_CODE_BY_VALUE = {m.value: c for m, c in RESULT_CODE.items()}
+#: The ``proxied`` column's text -> value: exactly what the writers emit.
+#: Both TSV readers decode through this table, so they accept and reject
+#: the same lines.
+PROXIED_BY_VALUE = {"0": False, "1": True}
 
 
-def _map_enum_values(values: Sequence[str], by_value: dict) -> np.ndarray:
-    """Map a raw string column to enum codes (invalid values raise)."""
+def _map_enum_values(
+    values: Sequence[str], by_value: dict, name: str = "enum"
+) -> np.ndarray:
+    """Map a raw string column to codes (invalid values raise, naming
+    ``name``)."""
     try:
         return np.asarray([by_value[v] for v in values], dtype=np.uint8)
     except KeyError as exc:
-        raise ValueError(f"unknown enum value: {exc.args[0]!r}") from None
+        raise ValueError(f"unknown {name} value: {exc.args[0]!r}") from None
 
 
 #: (column name, dtype) of every array column, in on-disk order.
@@ -334,9 +341,9 @@ class ColumnarTrace:
             "processing_time": np.asarray(processing_time, dtype=np.float64),
             "server_time": np.asarray(server_time, dtype=np.float64),
             "rtt": np.asarray(rtt, dtype=np.float64),
-            "proxied": np.asarray(
-                [p == "1" or p == "true" for p in proxied], dtype=bool
-            ),
+            "proxied": _map_enum_values(
+                proxied, PROXIED_BY_VALUE, "proxied"
+            ).astype(bool),
             "result": _map_enum_values(result, RESULT_CODE_BY_VALUE),
             "session_id": np.asarray(session_id, dtype=np.int64),
         }

@@ -37,6 +37,7 @@ from .columnar import (
     COLUMNS,
     DEVICE_TYPES,
     DIRECTIONS,
+    PROXIED_BY_VALUE,
     REQUEST_KINDS,
     RESULT_CODES,
     ColumnarTrace,
@@ -73,8 +74,9 @@ _KINDS = {member.value: member for member in RequestKind}
 _DIRECTIONS = {member.value: member for member in Direction}
 _RESULTS = {member.value: member for member in ResultCode}
 
-#: ``(column index, column name, table)`` of each enum column, to name the
-#: column and value a failed lookup came from.
+#: ``(column index, column name, table)`` of each looked-up column (the
+#: enums and ``proxied``), to name the column and value a failed lookup
+#: came from.
 _TSV_ENUM_COLUMNS = tuple(
     (TSV_COLUMNS.index(name), name, table)
     for name, table in (
@@ -82,6 +84,7 @@ _TSV_ENUM_COLUMNS = tuple(
         ("kind", _KINDS),
         ("direction", _DIRECTIONS),
         ("result", _RESULTS),
+        ("proxied", PROXIED_BY_VALUE),
     )
 )
 
@@ -251,7 +254,7 @@ def _parse_tsv_line(line: str, last: list) -> LogRecord:
             float(parts[7]),
             float(parts[8]),
             rtt,
-            parts[10] == "1",
+            PROXIED_BY_VALUE[parts[10]],
             _RESULTS[parts[11]],
             session_id,
         )

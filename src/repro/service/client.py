@@ -25,6 +25,11 @@ zone that just suffered a shared-fate outage would walk straight into the
 same window.  Every attempt — including failed ones — emits a front-end
 log record, so retries are visible in the access log exactly as in the
 paper's dataset.
+
+An attempt is one positional call of the front-end's ``handle_chunk`` or
+``handle_file_op``, looked up on the server each time; the retry loop
+(:meth:`StorageClient._request`) takes the request's varying parts —
+kind, direction, size, restart flag — instead of a per-attempt closure.
 """
 
 from __future__ import annotations
@@ -336,29 +341,57 @@ class StorageClient:
     def _request(
         self,
         preferred_id: int,
-        call: Callable[[FrontendServer, int], RequestOutcome],
+        chunk: bool,
+        direction_code: int,
+        size: int,
+        restarted: bool,
         tally: _AttemptTally,
     ) -> RequestOutcome | None:
         """Issue one front-end request with retries and failover.
 
-        ``call(frontend, attempt)`` performs attempt number ``attempt``
-        (1-based) against ``frontend`` at the current clock.  On success
-        the outcome is returned with the clock *not yet* advanced — the
-        caller applies its operation-specific cost, keeping the fault-free
-        arithmetic identical to the historical simulator.  Failed attempts
-        advance the clock by the partial time they consumed plus backoff.
+        The request is a chunk of ``size`` bytes when ``chunk`` is true,
+        else a file operation; ``restarted`` says whether its first
+        attempt begins with a restarted congestion window.  Each attempt
+        looks up ``frontend.handle_chunk``/``handle_file_op`` and calls it
+        positionally at the current clock.  On success the outcome is
+        returned with the clock *not yet* advanced — the caller applies
+        its operation-specific cost, keeping the fault-free arithmetic
+        identical to the historical simulator.  Failed attempts advance
+        the clock by the partial time they consumed plus backoff.
         """
         policy = self.retry_policy
         plan = self.fault_plan
+        frontends = self.frontends
+        n_frontends = len(frontends)
+        # Fixed for the whole request; only the clock moves between attempts.
+        user_id = self.user_id
+        device_id = self.device_id
+        device_type_code = self._device_type_code
+        rtt = self.network.rtt
+        bandwidth = self.network.bandwidth
+        rng = self._rng
+        proxied = self.proxied
+        session_id = self.session_id
+        timeout = policy.request_timeout
         shift = 0
         failures = 0
         while True:
-            frontend = self.frontends[
-                (preferred_id + shift) % len(self.frontends)
-            ]
-            attempt = failures + 1
+            frontend = frontends[(preferred_id + shift) % n_frontends]
             tally.attempts += 1
-            outcome = call(frontend, attempt)
+            if chunk:
+                # A retry attempt always restarts the congestion window:
+                # the failed connection was torn down and the backoff gap
+                # exceeds the RTO by construction.
+                outcome = frontend.handle_chunk(
+                    self.clock, user_id, device_id, device_type_code,
+                    direction_code, size, rtt, bandwidth, rng,
+                    restarted or failures > 0, proxied, session_id, timeout,
+                )
+            else:
+                outcome = frontend.handle_file_op(
+                    self.clock, user_id, device_id, device_type_code,
+                    direction_code, rtt, rng, proxied, session_id, timeout,
+                )
             if outcome.ok:
                 return outcome
             failures += 1
@@ -371,7 +404,7 @@ class StorageClient:
             if (
                 outcome.wants_failover
                 and policy.failover
-                and len(self.frontends) > 1
+                and n_frontends > 1
             ):
                 shift = self._failover_shift(preferred_id, shift)
                 tally.failovers += 1
@@ -406,20 +439,7 @@ class StorageClient:
         self, frontend_id: int, direction_code: int, tally: _AttemptTally
     ) -> bool:
         outcome = self._request(
-            frontend_id,
-            lambda frontend, attempt: frontend.handle_file_op(
-                timestamp=self.clock,
-                user_id=self.user_id,
-                device_id=self.device_id,
-                device_type_code=self._device_type_code,
-                direction_code=direction_code,
-                rtt=self.network.rtt,
-                proxied=self.proxied,
-                session_id=self.session_id,
-                timeout=self.retry_policy.request_timeout,
-                rng=self._rng,
-            ),
-            tally,
+            frontend_id, False, direction_code, 0, False, tally
         )
         if outcome is None:
             return False
@@ -439,28 +459,7 @@ class StorageClient:
         for i, size in enumerate(sizes):
             restarted = i > 0 and idle > rto
             outcome = self._request(
-                frontend_id,
-                # A retry attempt always restarts the congestion window:
-                # the failed connection was torn down and the backoff gap
-                # exceeds the RTO by construction.
-                lambda frontend, attempt, _restarted=restarted, _size=size: (
-                    frontend.handle_chunk(
-                        timestamp=self.clock,
-                        user_id=self.user_id,
-                        device_id=self.device_id,
-                        device_type_code=self._device_type_code,
-                        direction_code=direction_code,
-                        size=_size,
-                        rtt=self.network.rtt,
-                        bandwidth=self.network.bandwidth,
-                        restarted=_restarted or attempt > 1,
-                        proxied=self.proxied,
-                        session_id=self.session_id,
-                        timeout=self.retry_policy.request_timeout,
-                        rng=self._rng,
-                    )
-                ),
-                tally,
+                frontend_id, True, direction_code, size, restarted, tally
             )
             if outcome is None:
                 return False

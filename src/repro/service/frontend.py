@@ -12,7 +12,9 @@ typed column buffers (:class:`~repro.logs.columnar.ColumnBuffer`) in the
 :data:`~repro.logs.columnar.Row` layout, enum fields as their code-table
 indices, so no :class:`~repro.logs.schema.LogRecord` is built per
 request.  Callers pass the device-type and direction codes, resolved
-once per client and per operation.  :meth:`FrontendServer.take_log`
+once per client and per operation.  The handlers take their parameters
+by position or by keyword; the client calls them positionally, once per
+attempt, with no closure in between.  :meth:`FrontendServer.take_log`
 hands the buffers over as a :class:`~repro.logs.columnar.ColumnarTrace`
 in emission order; :meth:`repro.service.cluster.ServiceCluster.access_log`
 merges every front-end's rows into one time-ordered log.
@@ -54,6 +56,10 @@ from ..tcpsim.devices import ServerProfile
 _SERVER_ERROR_CODE = RESULT_CODE[ResultCode.SERVER_ERROR]
 _UNAVAILABLE_CODE = RESULT_CODE[ResultCode.UNAVAILABLE]
 _TIMEOUT_CODE = RESULT_CODE[ResultCode.TIMEOUT]
+#: Enum members used per request, read as module names: reaching one
+#: through its enum class costs ~0.1 µs on CPython 3.11.
+_OK = ResultCode.OK
+_STORE = Direction.STORE
 
 
 @dataclass
@@ -92,7 +98,7 @@ class TransferModel:
         if rtt <= 0 or bandwidth <= 0:
             raise ValueError("rtt and bandwidth must be positive")
         window = (
-            self.server_rwnd if direction is Direction.STORE else self.client_rwnd
+            self.server_rwnd if direction is _STORE else self.client_rwnd
         )
         return min(window / rtt, bandwidth)
 
@@ -243,11 +249,7 @@ class FrontendServer:
         return None
 
     def _finish(
-        self,
-        *,
-        now: float,
-        nominal: float,
-        timeout: float | None,
+        self, now: float, nominal: float, timeout: float | None
     ) -> tuple[int, float]:
         """Resolve transient errors/timeouts for a started request.
 
@@ -284,24 +286,24 @@ class FrontendServer:
 
     def handle_file_op(
         self,
-        *,
         timestamp: float,
         user_id: int,
         device_id: str,
         device_type_code: int,
         direction_code: int,
         rtt: float,
+        rng: np.random.Generator,
         proxied: bool = False,
         session_id: int = -1,
         timeout: float | None = None,
-        rng: np.random.Generator,
     ) -> RequestOutcome:
         """Process a file operation request; returns its typed outcome.
 
         ``device_type_code`` and ``direction_code`` are the code-table
         indices (:data:`~repro.logs.columnar.DEVICE_CODE`,
         :data:`~repro.logs.columnar.DIRECTION_CODE`) of the request's
-        device type and direction.
+        device type and direction.  Parameters may be passed by position
+        (the client's per-attempt call) or by keyword.
         """
         failure = self._preflight(timestamp, timeout)
         if failure is not None:
@@ -313,9 +315,7 @@ class FrontendServer:
         plan = self._faults
         if plan is not None:
             tsrv *= plan.latency_multiplier(self.server_id, timestamp)
-        result, elapsed = self._finish(
-            now=timestamp, nominal=tsrv, timeout=timeout
-        )
+        result, elapsed = self._finish(timestamp, tsrv, timeout)
         ok = result == OK_CODE
         self._log.append(
             timestamp, device_type_code, device_id, user_id, FILE_OP_CODE,
@@ -324,15 +324,12 @@ class FrontendServer:
         )
         if not ok:
             self.requests_failed += 1
-            return RequestOutcome(result=RESULT_CODES[result], elapsed=elapsed)
+            return RequestOutcome(RESULT_CODES[result], elapsed)
         self.requests_ok += 1
-        return RequestOutcome(
-            result=ResultCode.OK, elapsed=elapsed, tchunk=elapsed, tsrv=elapsed
-        )
+        return RequestOutcome(_OK, elapsed, elapsed, elapsed)
 
     def handle_chunk(
         self,
-        *,
         timestamp: float,
         user_id: int,
         device_id: str,
@@ -341,11 +338,11 @@ class FrontendServer:
         size: int,
         rtt: float,
         bandwidth: float,
+        rng: np.random.Generator,
         restarted: bool = False,
         proxied: bool = False,
         session_id: int = -1,
         timeout: float | None = None,
-        rng: np.random.Generator,
     ) -> RequestOutcome:
         """Process one chunk request; returns its typed outcome.
 
@@ -369,9 +366,7 @@ class FrontendServer:
             tsrv *= multiplier
             ttran *= multiplier
         tchunk = ttran + tsrv
-        result, elapsed = self._finish(
-            now=timestamp, nominal=tchunk, timeout=timeout
-        )
+        result, elapsed = self._finish(timestamp, tchunk, timeout)
         ok = result == OK_CODE
         self._log.append(
             timestamp, device_type_code, device_id, user_id, CHUNK_CODE,
@@ -380,15 +375,13 @@ class FrontendServer:
         )
         if not ok:
             self.requests_failed += 1
-            return RequestOutcome(result=RESULT_CODES[result], elapsed=elapsed)
+            return RequestOutcome(RESULT_CODES[result], elapsed)
         self.requests_ok += 1
         if direction_code == STORE_CODE:
             self.bytes_stored += size
         else:
             self.bytes_served += size
-        return RequestOutcome(
-            result=ResultCode.OK, elapsed=elapsed, tchunk=tchunk, tsrv=tsrv
-        )
+        return RequestOutcome(_OK, elapsed, tchunk, tsrv)
 
     def _reject(
         self,
@@ -414,4 +407,4 @@ class FrontendServer:
             timestamp, device_type_code, device_id, user_id, kind_code,
             direction_code, 0, elapsed, 0.0, rtt, proxied, result, session_id,
         )
-        return RequestOutcome(result=RESULT_CODES[result], elapsed=elapsed)
+        return RequestOutcome(RESULT_CODES[result], elapsed)

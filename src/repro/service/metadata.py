@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..faults import FaultPlan, MetadataUnavailableError
 from .chunks import FileManifest
-from .placement import frontend_for
+from .placement import PlacementMemo, frontend_for
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,7 @@ class MetadataServer:
         self._by_url: dict[str, StoredFile] = {}
         self._spaces: dict[int, dict[str, StoredFile]] = {}
         self._url_counter = 0
+        self._placement = PlacementMemo(frontend_for)
         self.dedup_hits = 0
         self.store_requests = 0
         self.rejected_requests = 0
@@ -89,7 +90,8 @@ class MetadataServer:
         # Keyed-digest placement shared with the shard router: stable
         # across PYTHONHASHSEED, well-mixed, and survives resharding
         # (``user_id % n`` remapped every user whenever ``n`` changed).
-        return frontend_for(user_id, self.n_frontends)
+        # Memoized per server for the current fleet size.
+        return self._placement(user_id, self.n_frontends)
 
     def _new_url(self, file_md5: str) -> str:
         self._url_counter += 1

@@ -62,7 +62,7 @@ from __future__ import annotations
 from ..faults import FaultPlan, MetadataUnavailableError
 from .chunks import FileManifest
 from .metadata import DedupDecision, MetadataServer, StoredFile
-from .placement import shard_for
+from .placement import PlacementMemo, shard_for
 
 #: Read policies a tier accepts, in increasing availability order.
 READ_POLICIES = ("primary-only", "quorum", "any-replica")
@@ -133,6 +133,7 @@ class ShardedMetadataTier:
             MetadataServer(n_frontends=n_frontends) for _ in range(n_shards)
         ]
         self._url_shard: dict[str, int] = {}
+        self._placement = PlacementMemo(shard_for)
         #: Per-shard round-robin cursor for ``any-replica`` serving.
         self._cursor = [0] * n_shards
         #: Per-shard rejection tallies (mirror of ``stats.shard_rejections``).
@@ -147,8 +148,9 @@ class ShardedMetadataTier:
     # ------------------------------------------------------------------
 
     def shard_of(self, user_id: int) -> int:
-        """The shard owning ``user_id``'s namespace (stable placement)."""
-        return shard_for(user_id, self.n_shards)
+        """The shard owning ``user_id``'s namespace (stable placement,
+        memoized per tier for the current shard count)."""
+        return self._placement(user_id, self.n_shards)
 
     def _node_up(self, shard: int, node: int, now: float) -> bool:
         return not self.fault_plan.metadata_node_down(shard, node, now)

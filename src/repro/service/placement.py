@@ -19,6 +19,7 @@ and metadata-path failure domains for no reason.
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
 
 
 def stable_placement(domain: str, key: int, n_buckets: int) -> int:
@@ -46,4 +47,32 @@ def shard_for(user_id: int, n_shards: int) -> int:
     return stable_placement("shard", user_id, n_shards)
 
 
-__all__ = ["frontend_for", "shard_for", "stable_placement"]
+class PlacementMemo:
+    """A placement function's answers, kept for one bucket count.
+
+    ``memo(key, n_buckets)`` returns ``place(key, n_buckets)``, paying the
+    digest once per key.  The memo holds answers for the bucket count it
+    was last asked about and starts over when asked about another, so a
+    resized fleet or tier never reads a stale placement and the memo
+    never holds more than one answer per key.  Each owner keeps its own
+    memo; nothing is cached at module level.
+    """
+
+    __slots__ = ("_place", "_n_buckets", "_answers")
+
+    def __init__(self, place: Callable[[int, int], int]) -> None:
+        self._place = place
+        self._n_buckets: int | None = None
+        self._answers: dict[int, int] = {}
+
+    def __call__(self, key: int, n_buckets: int) -> int:
+        if n_buckets != self._n_buckets:
+            self._answers = {}
+            self._n_buckets = n_buckets
+        bucket = self._answers.get(key)
+        if bucket is None:
+            bucket = self._answers[key] = self._place(key, n_buckets)
+        return bucket
+
+
+__all__ = ["PlacementMemo", "frontend_for", "shard_for", "stable_placement"]

@@ -24,7 +24,9 @@ path replaced, kept as the definitions it is tested against:
 :func:`observe_record` (the per-record telemetry fold).  The analysis
 path's are :class:`OracleDeviceFold` (row-wise ``np.unique`` device
 dedup), :class:`PerFileEmissionGenerator` (per-file chunk emission) and
-:func:`summarize_per_record` (the per-record summary fold).
+:func:`summarize_per_record` (the per-record summary fold).  The live
+path's attempts run their earlier way inside :func:`reference_attempts`
+(closure/keyword attempts, unmemoized placement, scalar fault draws).
 
 :func:`bench_replay_pass`, :func:`bench_paper_scale_digests` and
 :func:`bench_analyze_digest` mirror the benchmark workloads whose
@@ -33,6 +35,7 @@ digests ``tests/data/digests.json`` pins.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -45,6 +48,7 @@ import numpy as np
 from repro.core.report import analyze_trace
 from repro.core.streaming import DEVICE_GROUPS, analyze_stream, report_from_columnar
 from repro.experiments.r4_open_loop import R4_RETRY_POLICY, correlated_config
+from repro.faults import FaultPlan
 from repro.logs.columnar import (
     CHUNK_CODE,
     DEVICE_CODE,
@@ -57,7 +61,11 @@ from repro.logs.columnar import (
 from repro.logs.io import open_reader, record_to_tsv, write_tsv
 from repro.logs.schema import CHUNK_SIZE, Direction, LogRecord, ResultCode
 from repro.logs.summary import TraceSummary, summarize
+from repro.service.client import StorageClient
 from repro.service.cluster import ServiceCluster
+from repro.service.metadata import MetadataServer
+from repro.service.metatier import ShardedMetadataTier
+from repro.service.placement import frontend_for, shard_for
 from repro.service.replay import replay_trace, synthetic_replay_trace
 from repro.service.telemetry import _WindowCounters
 from repro.tcpsim.devices import Lognormal, profile_for
@@ -186,6 +194,165 @@ def oracle_access_log(taken: list) -> list[LogRecord]:
 
 
 # ----------------------------------------------------------------------
+# Live-path attempt oracle: closure/keyword attempts, unmemoized
+# placement, scalar fault draws
+# ----------------------------------------------------------------------
+
+
+def _closure_request(self, preferred_id, call, tally):
+    """``StorageClient._request`` before positional attempts: ``call(frontend,
+    attempt)`` performs attempt number ``attempt`` (1-based) against
+    ``frontend`` at the current clock."""
+    policy = self.retry_policy
+    plan = self.fault_plan
+    shift = 0
+    failures = 0
+    while True:
+        frontend = self.frontends[(preferred_id + shift) % len(self.frontends)]
+        attempt = failures + 1
+        tally.attempts += 1
+        outcome = call(frontend, attempt)
+        if outcome.ok:
+            return outcome
+        failures += 1
+        self.clock += outcome.elapsed
+        if failures >= policy.max_attempts:
+            return None
+        tally.retries += 1
+        if plan is not None:
+            plan.stats.retries += 1
+        if outcome.wants_failover and policy.failover and len(self.frontends) > 1:
+            shift = self._failover_shift(preferred_id, shift)
+            tally.failovers += 1
+            if plan is not None:
+                plan.stats.failovers += 1
+        self._backoff(failures)
+
+
+def _closure_file_op(self, frontend_id, direction_code, tally):
+    outcome = self._request(
+        frontend_id,
+        lambda frontend, attempt: frontend.handle_file_op(
+            timestamp=self.clock,
+            user_id=self.user_id,
+            device_id=self.device_id,
+            device_type_code=self._device_type_code,
+            direction_code=direction_code,
+            rtt=self.network.rtt,
+            proxied=self.proxied,
+            session_id=self.session_id,
+            timeout=self.retry_policy.request_timeout,
+            rng=self._rng,
+        ),
+        tally,
+    )
+    if outcome is None:
+        return False
+    self.clock += outcome.elapsed + self.network.rtt
+    return True
+
+
+def _closure_transfer_chunks(self, frontend_id, sizes, direction_code, tally):
+    rto = paper_rto_estimate(self.network.rtt)
+    tclt_dist = self._profile.tclt(direction_code == STORE_CODE)
+    idle = 0.0
+    for i, size in enumerate(sizes):
+        restarted = i > 0 and idle > rto
+        outcome = self._request(
+            frontend_id,
+            lambda frontend, attempt, _restarted=restarted, _size=size: (
+                frontend.handle_chunk(
+                    timestamp=self.clock,
+                    user_id=self.user_id,
+                    device_id=self.device_id,
+                    device_type_code=self._device_type_code,
+                    direction_code=direction_code,
+                    size=_size,
+                    rtt=self.network.rtt,
+                    bandwidth=self.network.bandwidth,
+                    restarted=_restarted or attempt > 1,
+                    proxied=self.proxied,
+                    session_id=self.session_id,
+                    timeout=self.retry_policy.request_timeout,
+                    rng=self._rng,
+                )
+            ),
+            tally,
+        )
+        if outcome is None:
+            return False
+        tclt = float(tclt_dist.sample(self._rng))
+        self.clock += outcome.tchunk + tclt
+        idle = outcome.tsrv + tclt
+    return True
+
+
+def _scalar_draw_transient_error(self, frontend_id):
+    if self.config.error_rate <= 0:
+        return False
+    return bool(self._error_rngs[frontend_id].random() < self.config.error_rate)
+
+
+def _scalar_error_fraction(self, frontend_id):
+    return float(self._error_rngs[frontend_id].random())
+
+
+def _scalar_draw_pressure_shed(self, frontend_id, now):
+    zones = self.zone_config
+    if zones is None or zones.pressure_per_failure <= 0:
+        return False
+    self._drain_pressure(frontend_id, now)
+    pressure = self._pressure[frontend_id]
+    if pressure <= 0.0:
+        return False
+    probability = pressure / (pressure + zones.pressure_shed_scale)
+    return bool(self._pressure_rngs[frontend_id].random() < probability)
+
+
+#: ``(owner, attribute, reference)`` swapped in by :func:`reference_attempts`.
+_REFERENCE_ATTEMPTS = (
+    (StorageClient, "_request", _closure_request),
+    (StorageClient, "_file_op", _closure_file_op),
+    (StorageClient, "_transfer_chunks", _closure_transfer_chunks),
+    (
+        MetadataServer,
+        "_frontend_for",
+        lambda self, user_id: frontend_for(user_id, self.n_frontends),
+    ),
+    (
+        ShardedMetadataTier,
+        "shard_of",
+        lambda self, user_id: shard_for(user_id, self.n_shards),
+    ),
+    (FaultPlan, "draw_transient_error", _scalar_draw_transient_error),
+    (FaultPlan, "error_fraction", _scalar_error_fraction),
+    (FaultPlan, "draw_pressure_shed", _scalar_draw_pressure_shed),
+)
+
+
+@contextlib.contextmanager
+def reference_attempts():
+    """Run the live path's attempts the way they ran before positional calls.
+
+    Inside the block every client attempt goes through a per-attempt
+    closure that calls the front-end handler by keyword, placement
+    recomputes its keyed digest on every call, and the fault plan draws
+    each error and pressure uniform with one scalar ``random()``.
+    """
+    saved = [
+        (owner, name, owner.__dict__[name])
+        for owner, name, _ in _REFERENCE_ATTEMPTS
+    ]
+    try:
+        for owner, name, reference in _REFERENCE_ATTEMPTS:
+            setattr(owner, name, reference)
+        yield
+    finally:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+
+
+# ----------------------------------------------------------------------
 # The ``replay`` benchmark workload's three passes
 # ----------------------------------------------------------------------
 
@@ -223,6 +390,11 @@ def bench_replay_pass(label: str):
     Returns ``(result, cluster, taken)`` with ``taken`` the front-end
     parts the merge consumed (:func:`capture_frontend_logs`).
     """
+    return run_bench_replay_pass(label)
+
+
+def run_bench_replay_pass(label: str):
+    """:func:`bench_replay_pass` run afresh, never cached."""
     make_cluster, kwargs = BENCH_REPLAY_PASSES[label]
     cluster = make_cluster()
     taken = capture_frontend_logs(cluster)

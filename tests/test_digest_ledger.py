@@ -11,16 +11,23 @@ has to edit the ledger, where the move shows in the diff.
   benchmark digests at seed 1 (:func:`tests.helpers.bench_paper_scale_digests`
   and :func:`tests.helpers.bench_analyze_digest` mirror its two batches);
 * ``analysis.paper-scale-smoke.digest``: the CI ``repro paper-scale
-  --check`` run (:data:`tests.helpers.CI_PAPER_SCALE`).
+  --check`` run (:data:`tests.helpers.CI_PAPER_SCALE`);
+* ``live.*.digest``: the live-path CI smoke runs, each a few users.  The
+  entry's command is the recipe: its ``repro.cli`` arguments run
+  in-process and the digest is read from the line its ``reads`` quotes.
 """
 
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import pathlib
+import shlex
 
 import pytest
 
+from repro.cli import main as cli_main
 from tests.helpers import (
     BENCH_REPLAY_PASSES,
     CI_PAPER_SCALE,
@@ -38,6 +45,14 @@ ANALYSIS_ENTRIES = {
     "analysis.analyze.findings",
     "analysis.paper-scale-smoke.digest",
 }
+#: The live-path CI smoke digests and the output line each is printed on.
+LIVE_ENTRIES = {
+    "live.chaos-smoke.digest": "access-log digest:",
+    "live.metatier-smoke.digest": "access-log digest:",
+    "live.replay-smoke.digest": "access-log digest:",
+    "live.autoscaler-smoke.digest": "autoscale digest:",
+}
+CLI_PREFIX = "PYTHONPATH=src python -m repro.cli "
 
 
 def ledger() -> dict[str, dict]:
@@ -60,10 +75,25 @@ def _recompute_analysis(label: str, part: str) -> str:
     return paper_scale_digest(ci.pop("users"), **ci)
 
 
+def _recompute_live(name: str) -> str:
+    command = ledger()[name]["command"]
+    assert command.startswith(CLI_PREFIX), command
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli_main(shlex.split(command[len(CLI_PREFIX):]))
+    assert status == 0, f"{command} exited {status}"
+    marker = LIVE_ENTRIES[name]
+    lines = [line for line in out.getvalue().splitlines() if marker in line]
+    assert len(lines) == 1, lines
+    return lines[0].split(marker)[1].strip()
+
+
 def recompute(name: str) -> str:
     kind, label, part = name.split(".")
     if kind == "analysis":
         return _recompute_analysis(label, part)
+    if kind == "live":
+        return _recompute_live(name)
     assert kind == "replay", f"no recipe for ledger entry {name!r}"
     result, _cluster, _taken = bench_replay_pass(label)
     if part == "log":
@@ -83,6 +113,12 @@ def test_ledger_covers_every_replay_pass():
 
 def test_ledger_covers_every_analysis_digest():
     assert ANALYSIS_ENTRIES <= set(ledger())
+
+
+def test_ledger_covers_every_live_smoke_digest():
+    assert set(LIVE_ENTRIES) <= set(ledger())
+    for name, marker in LIVE_ENTRIES.items():
+        assert marker.rstrip(":") in ledger()[name]["reads"], name
 
 
 @pytest.mark.parametrize("name", sorted(ledger()))

@@ -12,6 +12,7 @@ from repro.logs import (
     open_reader,
     read_jsonl,
     read_tsv,
+    read_tsv_columnar,
     record_from_dict,
     record_from_tsv,
     record_to_dict,
@@ -262,3 +263,31 @@ def test_tsv_line_roundtrip_property(record):
 @settings(max_examples=200)
 def test_dict_roundtrip_property(record):
     assert record_from_dict(record_to_dict(record)) == record
+
+
+# One line per ``proxied`` text; the writers emit only ``0`` and ``1``.
+_PROXIED_LINE = (
+    "0.500000\tios\tabc\t1\tfile_op\tstore\t0\t0.000000\t0.000000\t"
+    "0.000000\t{}\tok\t-1"
+)
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "1", "true", "false", "yes", "True", "", " 1", "2"]
+)
+def test_tsv_readers_agree_on_proxied(tmp_path, text):
+    path = tmp_path / "t.tsv"
+    path.write_text(
+        _PROXIED_LINE.format("0") + "\n" + _PROXIED_LINE.format(text) + "\n"
+    )
+    if text in ("0", "1"):
+        records = list(read_tsv(path))
+        columnar = read_tsv_columnar(path)
+        assert [r.proxied for r in records] == [False, text == "1"]
+        assert columnar.proxied.tolist() == [False, text == "1"]
+        assert list(columnar.iter_records()) == records
+        return
+    with pytest.raises(ValueError, match=f"proxied value {text!r}"):
+        list(read_tsv(path))
+    with pytest.raises(ValueError, match=f"proxied value: {text!r}"):
+        read_tsv_columnar(path)
