@@ -14,7 +14,10 @@ has to edit the ledger, where the move shows in the diff.
   --check`` run (:data:`tests.helpers.CI_PAPER_SCALE`);
 * ``live.*.digest``: the live-path CI smoke runs, each a few users.  The
   entry's command is the recipe: its ``repro.cli`` arguments run
-  in-process and the digest is read from the line its ``reads`` quotes.
+  in-process and the digest is read from the line its ``reads`` quotes;
+* ``battery.*.json``: the md5 of one experiment's whole ``repro
+  experiments NAME --json`` output, its command run in-process the same
+  way.
 """
 
 import contextlib
@@ -52,6 +55,11 @@ LIVE_ENTRIES = {
     "live.replay-smoke.digest": "access-log digest:",
     "live.autoscaler-smoke.digest": "autoscale digest:",
 }
+#: The battery experiments whose ``experiments --json`` output is pinned.
+BATTERY_ENTRIES = {
+    "battery.ablation_autoscaling.json",
+    "battery.r6_autoscaler.json",
+}
 CLI_PREFIX = "PYTHONPATH=src python -m repro.cli "
 
 
@@ -75,15 +83,21 @@ def _recompute_analysis(label: str, part: str) -> str:
     return paper_scale_digest(ci.pop("users"), **ci)
 
 
-def _recompute_live(name: str) -> str:
+def _run_ledger_command(name: str) -> str:
+    """Run the entry's ``repro.cli`` command in-process; return stdout."""
     command = ledger()[name]["command"]
     assert command.startswith(CLI_PREFIX), command
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = cli_main(shlex.split(command[len(CLI_PREFIX):]))
     assert status == 0, f"{command} exited {status}"
+    return out.getvalue()
+
+
+def _recompute_live(name: str) -> str:
     marker = LIVE_ENTRIES[name]
-    lines = [line for line in out.getvalue().splitlines() if marker in line]
+    output = _run_ledger_command(name)
+    lines = [line for line in output.splitlines() if marker in line]
     assert len(lines) == 1, lines
     return lines[0].split(marker)[1].strip()
 
@@ -94,6 +108,9 @@ def recompute(name: str) -> str:
         return _recompute_analysis(label, part)
     if kind == "live":
         return _recompute_live(name)
+    if kind == "battery":
+        assert part == "json", name
+        return hashlib.md5(_run_ledger_command(name).encode()).hexdigest()
     assert kind == "replay", f"no recipe for ledger entry {name!r}"
     result, _cluster, _taken = bench_replay_pass(label)
     if part == "log":
@@ -119,6 +136,15 @@ def test_ledger_covers_every_live_smoke_digest():
     assert set(LIVE_ENTRIES) <= set(ledger())
     for name, marker in LIVE_ENTRIES.items():
         assert marker.rstrip(":") in ledger()[name]["reads"], name
+
+
+def test_ledger_covers_every_battery_digest():
+    assert BATTERY_ENTRIES <= set(ledger())
+    for name in BATTERY_ENTRIES:
+        _, label, _ = name.split(".")
+        assert ledger()[name]["command"].endswith(
+            f"experiments {label} --json"
+        ), name
 
 
 @pytest.mark.parametrize("name", sorted(ledger()))
