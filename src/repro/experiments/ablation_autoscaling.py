@@ -3,16 +3,21 @@
 The paper's Section 2.4 reads the diurnal workload as an argument for
 elastic provisioning: peak-sized fleets idle most of the day.  This
 experiment provisions a front-end fleet against the synthetic hourly
-volume three ways — static at the peak, a realistic reactive autoscaler,
-and the perfect-forecast oracle — and checks the economics: the reactive
-policy recovers most of the oracle's savings at a small under-provisioning
-risk.
+volume four ways — static at the peak, a realistic reactive autoscaler, a
+seasonal predictive autoscaler and the perfect-forecast oracle — and
+checks the economics: the reactive policy recovers most of the oracle's
+savings at a small under-provisioning risk.  Each strategy is a live
+fleet controller fed the profile as fault-free signals.
 
 The reactive arm bootstraps hour 0 from the first hour's load *with
 headroom* (it used to peek at the raw current-hour load, an oracle
 privilege no reactive controller has); on this 169-hour profile that
 costs a few extra server-hours in hour 0 and leaves every check's margin
 intact.
+
+The predictive guardrail scores a forecast only once its hour has been
+observed; it used to score the hour being sized, another peek (its row
+moved from 709 to 699 server-hours; no check reads it).
 """
 
 from __future__ import annotations

@@ -98,10 +98,10 @@ PROXIED_BY_VALUE = {"0": False, "1": True}
 
 
 def _map_enum_values(
-    values: Sequence[str], by_value: dict, name: str = "enum"
+    values: Sequence[str], by_value: dict, name: str
 ) -> np.ndarray:
-    """Map a raw string column to codes (invalid values raise, naming
-    ``name``)."""
+    """Map the raw string column ``name`` to codes (an invalid value
+    raises, naming the column and the value)."""
     try:
         return np.asarray([by_value[v] for v in values], dtype=np.uint8)
     except KeyError as exc:
@@ -329,14 +329,18 @@ class ColumnarTrace:
         pool = device_pool if device_pool is not None else {}
         columns = {
             "timestamp": np.asarray(timestamp, dtype=np.float64),
-            "device_type": _map_enum_values(device_type, DEVICE_CODE_BY_VALUE),
+            "device_type": _map_enum_values(
+                device_type, DEVICE_CODE_BY_VALUE, "device_type"
+            ),
             "device_code": np.asarray(
                 [pool.setdefault(d, len(pool)) for d in device_id],
                 dtype=np.int64,
             ),
             "user_id": np.asarray(user_id, dtype=np.int64),
-            "kind": _map_enum_values(kind, KIND_CODE_BY_VALUE),
-            "direction": _map_enum_values(direction, DIRECTION_CODE_BY_VALUE),
+            "kind": _map_enum_values(kind, KIND_CODE_BY_VALUE, "kind"),
+            "direction": _map_enum_values(
+                direction, DIRECTION_CODE_BY_VALUE, "direction"
+            ),
             "volume": np.asarray(volume, dtype=np.int64),
             "processing_time": np.asarray(processing_time, dtype=np.float64),
             "server_time": np.asarray(server_time, dtype=np.float64),
@@ -344,7 +348,7 @@ class ColumnarTrace:
             "proxied": _map_enum_values(
                 proxied, PROXIED_BY_VALUE, "proxied"
             ).astype(bool),
-            "result": _map_enum_values(result, RESULT_CODE_BY_VALUE),
+            "result": _map_enum_values(result, RESULT_CODE_BY_VALUE, "result"),
             "session_id": np.asarray(session_id, dtype=np.int64),
         }
         return cls._from_columns(columns, device_pool=tuple(pool))

@@ -286,6 +286,14 @@ def record_to_dict(record: LogRecord) -> dict:
     }
 
 
+def _json_proxied(value: object) -> bool:
+    """Decode a JSONL ``proxied`` field: only JSON ``true``/``false``
+    (by identity: ``1 == True``) — never a string or number's truthiness."""
+    if value is True or value is False:
+        return value
+    raise ValueError(f"unknown proxied value: {value!r}")
+
+
 def record_from_dict(data: dict) -> LogRecord:
     """Build a record from a dict produced by :func:`record_to_dict`."""
     return LogRecord(
@@ -299,7 +307,7 @@ def record_from_dict(data: dict) -> LogRecord:
         processing_time=float(data.get("processing_time", 0.0)),
         server_time=float(data.get("server_time", 0.0)),
         rtt=float(data.get("rtt", 0.0)),
-        proxied=bool(data.get("proxied", False)),
+        proxied=_json_proxied(data.get("proxied", False)),
         result=ResultCode(data.get("result", "ok")),
         session_id=int(data.get("session_id", -1)),
     )
@@ -452,7 +460,10 @@ def _jsonl_chunk_to_columnar(
         processing_time=[d.get("processing_time", 0.0) for d in dicts],
         server_time=[d.get("server_time", 0.0) for d in dicts],
         rtt=[d.get("rtt", 0.0) for d in dicts],
-        proxied=["1" if d.get("proxied", False) else "0" for d in dicts],
+        proxied=[
+            "1" if _json_proxied(d.get("proxied", False)) else "0"
+            for d in dicts
+        ],
         result=[d.get("result", "ok") for d in dicts],
         session_id=[d.get("session_id", -1) for d in dicts],
         device_pool=pool,

@@ -33,11 +33,8 @@ from .autoscaler import (
     compare_strategies,
     diurnal_autoscale_workload,
     make_controller,
-    oracle_provisioning,
-    predictive_provisioning,
-    reactive_provisioning,
+    provision,
     run_autoscaled_service,
-    static_provisioning,
 )
 from .cache import CacheStats, LfuCache, LruCache
 from .chunks import FileManifest, build_manifest, chunk_sizes, content_md5
@@ -122,15 +119,12 @@ __all__ = [
     "frontend_for",
     "make_controller",
     "natural_rate",
-    "oracle_provisioning",
-    "predictive_provisioning",
-    "reactive_provisioning",
+    "provision",
     "replay_trace",
     "resolve_speedup",
     "run_autoscaled_service",
     "schedule_arrivals",
     "shard_for",
     "stable_placement",
-    "static_provisioning",
     "synthetic_replay_trace",
 ]

@@ -4,24 +4,16 @@ Section 2.4's implication: "both storage servers and metadata servers
 would be highly over-provisioned for most of the time, since the server
 capacity is often designed to bear the peak load.  Elastic scale-in and
 scale-out of the service as such are needed."  This module answers that
-at two levels.
+with one policy family of fleet controllers — static (peak), reactive
+(follow the last load), fault-aware, predictive (seasonal forecast) and
+oracle (perfect forecast) — evaluated at two levels.
 
-**Closed-form strategies** size a fleet against an hourly load profile:
+**The closed form** (:func:`provision`, compared by A11) runs a
+controller over an hourly load profile with fault-free signals and
+prices it in server-hours (cost) and under-provisioned hours (SLO risk).
 
-* **static** provisioning for the observed peak;
-* a **reactive** autoscaler that follows the previous hour's load with a
-  headroom factor and scale-down cooldown (the realistic option — it lags
-  surges);
-* a **predictive** autoscaler that forecasts one step ahead from the
-  profile's own seasonality (same-phase hours of previous cycles), with a
-  forecast-error guardrail that falls back to follow-the-last-observation
-  when the profile turns out not to be seasonal;
-* the **oracle** lower bound that knows each hour's load in advance.
-
-Outcomes are server-hours (cost) and under-provisioned hours (SLO risk).
-
-**The chaos-coupled loop** (:func:`run_autoscaled_service`) evaluates the
-same policy family inside the live service path: a window-by-window
+**The chaos-coupled loop** (:func:`run_autoscaled_service`) runs the
+same controllers inside the live service path: a window-by-window
 simulation where the controller's chosen fleet size becomes the
 ``n_frontends`` of a :class:`~repro.service.cluster.ServiceCluster`
 sharing one :class:`~repro.faults.FaultPlan` across all windows, ops are
@@ -40,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -83,9 +75,12 @@ def _servers_needed(load: float, capacity: float) -> int:
 class AutoscalerPolicy:
     """Scaling policy shared by the whole strategy family.
 
-    The first four knobs drive the closed-form strategies; the rest only
-    matter to the live fault-aware/predictive controllers and default to
-    values that leave the historical strategies untouched.
+    Every knob drives the same controllers in the closed form
+    (:func:`provision`) and the live loop.  The fault knobs
+    (``shed_alert`` through ``quiet_cooldown``) only matter to the
+    fault-aware controller, and only on signals that carry fault
+    pressure, which the closed form never feeds; ``period`` and
+    ``forecast_guardrail`` drive the predictive controller in both.
 
     Attributes
     ----------
@@ -104,6 +99,8 @@ class AutoscalerPolicy:
     max_servers:
         Ceiling on the live-loop fleet (and the size of the shared fault
         plan, so growing the fleet never reshuffles fault schedules).
+        :func:`provision` lifts it to the largest fleet the profile can
+        call for, so the closed form has no ceiling.
     shed_alert:
         Shed-rate above which the fault-aware controller treats the last
         window as a fault window.
@@ -192,200 +189,8 @@ class ProvisioningOutcome:
         return 1.0 - self.server_hours / other.server_hours
 
 
-def static_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Provision the peak hour permanently."""
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    fleet = _servers_for(
-        float(loads.max()), policy.capacity_per_server, policy.min_servers
-    )
-    return ProvisioningOutcome(
-        strategy="static",
-        server_hours=fleet * loads.size,
-        underprovisioned_hours=0,
-        n_hours=int(loads.size),
-        trajectory=(fleet,) * int(loads.size),
-    )
-
-
-def oracle_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Perfect-forecast scaling: exactly enough servers every hour."""
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    hours = [
-        _servers_for(load, policy.capacity_per_server, policy.min_servers)
-        for load in loads
-    ]
-    return ProvisioningOutcome(
-        strategy="oracle",
-        server_hours=int(sum(hours)),
-        underprovisioned_hours=0,
-        n_hours=int(loads.size),
-        trajectory=tuple(hours),
-    )
-
-
-def reactive_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Follow last hour's load with headroom and a scale-down cooldown.
-
-    Hour 0 has no "last hour" to follow, so the fleet bootstraps from
-    ``loads[0] * headroom`` — treating the first hour's load as the first
-    *observation*, exactly as every later hour is treated.  (Sizing hour 0
-    from the raw current-hour load, as this function once did, was an
-    oracle peek with no headroom: it contradicted the follow-the-last-
-    observation contract and understated the reactive fleet's cost.)
-
-    Cooldown semantics: ``below_streak`` counts consecutive hours whose
-    target stayed *at or below* the current fleet; a scale-down fires on
-    an hour whose target is strictly below once the streak exceeds the
-    cooldown.  Plateau hours — target exactly at the fleet — therefore
-    count toward the streak (the demand has visibly stopped growing) but
-    never themselves shrink the fleet.  (An earlier version reset the
-    streak on plateau hours, so a declining profile with plateaus at the
-    current fleet size postponed scale-down indefinitely.)
-    """
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    fleet = _servers_for(
-        float(loads[0]) * policy.headroom,
-        policy.capacity_per_server,
-        policy.min_servers,
-    )
-    server_hours = 0
-    violations = 0
-    below_streak = 0
-    trajectory: list[int] = []
-    for hour, load in enumerate(loads):
-        if hour > 0:
-            target = _servers_for(
-                float(loads[hour - 1]) * policy.headroom,
-                policy.capacity_per_server,
-                policy.min_servers,
-            )
-            if target > fleet:
-                fleet = target
-                below_streak = 0
-            else:
-                below_streak += 1
-                if (
-                    target < fleet
-                    and below_streak > policy.scale_down_cooldown
-                ):
-                    fleet = target
-                    below_streak = 0
-        trajectory.append(fleet)
-        server_hours += fleet
-        if _servers_needed(float(load), policy.capacity_per_server) > fleet:
-            violations += 1
-    return ProvisioningOutcome(
-        strategy="reactive",
-        server_hours=server_hours,
-        underprovisioned_hours=violations,
-        n_hours=int(loads.size),
-        trajectory=tuple(trajectory),
-    )
-
-
-def _seasonal_forecast(history: list[float], period: int) -> float:
-    """One-step-ahead forecast from same-phase observations.
-
-    With less than one full cycle of history the forecast degenerates to
-    the last observation (exactly what the reactive follower uses); after
-    that it averages the same-phase value of up to the last three cycles.
-    """
-    n = len(history)
-    if n == 0:
-        raise ValueError("cannot forecast from empty history")
-    if n < period:
-        return history[-1]
-    same_phase = [
-        history[n - k * period]
-        for k in range(1, 4)
-        if n - k * period >= 0
-    ]
-    return sum(same_phase) / len(same_phase)
-
-
-def predictive_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Provision one step ahead of the profile's own seasonality.
-
-    Each hour is sized for the seasonal forecast (same-phase hours of up
-    to the last three cycles, see :func:`_seasonal_forecast`) times the
-    policy headroom.  A guardrail tracks the mean relative error of the
-    forecasts already issued; while it exceeds
-    ``policy.forecast_guardrail`` the controller provisions
-    ``max(forecast, last observation)`` — no worse than reactive —
-    instead of trusting the forecast alone.  Because the forecast
-    anticipates both ramps and declines, no scale-down cooldown applies:
-    confidence in the forecast replaces the anti-thrashing delay.
-    """
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    period = policy.period
-    server_hours = 0
-    violations = 0
-    trajectory: list[int] = []
-    errors: list[float] = []
-    fleet = _servers_for(
-        float(loads[0]) * policy.headroom,
-        policy.capacity_per_server,
-        policy.min_servers,
-    )
-    for hour, load in enumerate(loads):
-        if hour > 0:
-            history = [float(x) for x in loads[:hour]]
-            forecast = _seasonal_forecast(history, period)
-            errors.append(
-                abs(forecast - float(load)) / max(float(load), 1.0)
-            )
-            basis = forecast
-            recent = errors[-period:]
-            if sum(recent) / len(recent) > policy.forecast_guardrail:
-                basis = max(forecast, history[-1])
-            fleet = _servers_for(
-                basis * policy.headroom,
-                policy.capacity_per_server,
-                policy.min_servers,
-            )
-        trajectory.append(fleet)
-        server_hours += fleet
-        if _servers_needed(float(load), policy.capacity_per_server) > fleet:
-            violations += 1
-    return ProvisioningOutcome(
-        strategy="predictive",
-        server_hours=server_hours,
-        underprovisioned_hours=violations,
-        n_hours=int(loads.size),
-        trajectory=tuple(trajectory),
-    )
-
-
-def compare_strategies(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> dict[str, ProvisioningOutcome]:
-    """All closed-form strategies over one profile."""
-    return {
-        "static": static_provisioning(profile, policy),
-        "reactive": reactive_provisioning(profile, policy),
-        "predictive": predictive_provisioning(profile, policy),
-        "oracle": oracle_provisioning(profile, policy),
-    }
-
-
 # ----------------------------------------------------------------------
-# The chaos-coupled loop: fleet controllers driven by live signals.
+# Fleet controllers: one implementation of each policy.
 # ----------------------------------------------------------------------
 
 
@@ -411,14 +216,16 @@ class WindowSignals:
 
 
 class FleetController:
-    """Load-following live controller — the reactive baseline.
+    """Load-following controller — the reactive baseline.
 
     ``decide(window)`` picks the fleet for the next window from the
     signals observed so far (:meth:`observe` appends one
     :class:`WindowSignals` per finished window).  Window 0 bootstraps
-    from the advertised first-window load, mirroring the closed-form
-    reactive bootstrap.  Scale-down uses the same streak semantics as
-    :func:`reactive_provisioning`.
+    from the advertised first-window load *with headroom*, as if it were
+    the first observation.  ``_below_streak`` counts consecutive windows
+    whose target stayed at or below the fleet; a strictly-below target
+    shrinks the fleet once the streak exceeds the cooldown, so plateau
+    windows count toward the streak but never shrink the fleet.
     """
 
     name = "reactive"
@@ -432,24 +239,23 @@ class FleetController:
         self.planned_loads = planned_loads
         self.history: list[WindowSignals] = []
         self.fleet = self._clamp(
-            _servers_for(
-                planned_loads[0] * policy.headroom,
-                policy.capacity_per_server,
-                policy.min_servers,
-            )
+            self._servers(planned_loads[0] * policy.headroom)
         )
         self._below_streak = 0
 
     def _clamp(self, n: int) -> int:
         return max(self.policy.min_servers, min(self.policy.max_servers, n))
 
+    def _servers(self, load: float) -> int:
+        """Servers that cover ``load``, at least ``min_servers``."""
+        policy = self.policy
+        return _servers_for(
+            load, policy.capacity_per_server, policy.min_servers
+        )
+
     def _load_target(self) -> int:
         """Follow the last observed load with headroom."""
-        return _servers_for(
-            self.history[-1].load * self.policy.headroom,
-            self.policy.capacity_per_server,
-            self.policy.min_servers,
-        )
+        return self._servers(self.history[-1].load * self.policy.headroom)
 
     def target(self) -> int:
         return self._load_target()
@@ -521,14 +327,33 @@ class FaultAwareController(FleetController):
         return self.policy.scale_down_cooldown
 
 
+def _seasonal_forecast(history: list[WindowSignals], period: int) -> float:
+    """One-step-ahead load forecast from same-phase observations.
+
+    With less than one full cycle of history the forecast degenerates to
+    the last observation (exactly what the reactive follower uses); after
+    that it averages the same-phase load of up to the last three cycles.
+    """
+    n = len(history)
+    if n < period:
+        return history[-1].load
+    same_phase = [
+        history[n - k * period].load
+        for k in range(1, 4)
+        if n - k * period >= 0
+    ]
+    return sum(same_phase) / len(same_phase)
+
+
 class PredictiveController(FleetController):
     """One-step-ahead seasonal forecaster with an error guardrail.
 
-    Live twin of :func:`predictive_provisioning`: provisions the
-    same-phase forecast times headroom, tracks realized forecast errors,
-    and while the recent mean relative error exceeds the guardrail falls
-    back to ``max(forecast, last observation)``.  No cooldown — the
-    forecast anticipates declines as well as ramps.
+    Provisions the same-phase forecast (:func:`_seasonal_forecast`) times
+    headroom.  Each forecast is scored when its window's load is
+    observed; while the mean relative error of the last ``period``
+    scored forecasts exceeds the guardrail, the basis is
+    ``max(forecast, last observation)``.  No cooldown — the forecast
+    anticipates declines as well as ramps.
     """
 
     name = "predictive"
@@ -551,18 +376,13 @@ class PredictiveController(FleetController):
 
     def target(self) -> int:
         policy = self.policy
-        history = [s.load for s in self.history]
-        forecast = _seasonal_forecast(history, policy.period)
+        forecast = _seasonal_forecast(self.history, policy.period)
         self._pending_forecast = forecast
         basis = forecast
         recent = self._errors[-policy.period:]
         if recent and sum(recent) / len(recent) > policy.forecast_guardrail:
-            basis = max(forecast, history[-1])
-        return _servers_for(
-            basis * policy.headroom,
-            policy.capacity_per_server,
-            policy.min_servers,
-        )
+            basis = max(forecast, self.history[-1].load)
+        return self._servers(basis * policy.headroom)
 
     def cooldown(self) -> int:
         return 0
@@ -577,13 +397,7 @@ class StaticController(FleetController):
         self, policy: AutoscalerPolicy, planned_loads: tuple[float, ...]
     ) -> None:
         super().__init__(policy, planned_loads)
-        self.fleet = self._clamp(
-            _servers_for(
-                max(planned_loads),
-                policy.capacity_per_server,
-                policy.min_servers,
-            )
-        )
+        self.fleet = self._clamp(self._servers(max(planned_loads)))
 
     def decide(self, window: int) -> int:
         return self.fleet
@@ -595,13 +409,7 @@ class OracleController(FleetController):
     name = "oracle"
 
     def decide(self, window: int) -> int:
-        self.fleet = self._clamp(
-            _servers_for(
-                self.planned_loads[window],
-                self.policy.capacity_per_server,
-                self.policy.min_servers,
-            )
-        )
+        self.fleet = self._clamp(self._servers(self.planned_loads[window]))
         return self.fleet
 
 
@@ -628,6 +436,58 @@ def make_controller(
             f"choose from {sorted(CONTROLLERS)}"
         ) from None
     return cls(policy, planned_loads)
+
+
+# ----------------------------------------------------------------------
+# The closed form: a controller over fault-free signals.
+# ----------------------------------------------------------------------
+
+
+def provision(
+    strategy: str, profile: np.ndarray, policy: AutoscalerPolicy
+) -> ProvisioningOutcome:
+    """Run one controller over an hourly load profile, fault-free.
+
+    Each hour is sized, counted as under-provisioned when its load needs
+    more servers, then observed with no fault pressure.  ``max_servers``
+    is lifted to the peak load with headroom, the largest fleet such
+    signals can call for, so the closed form has no fleet ceiling.
+    """
+    loads = tuple(float(x) for x in np.asarray(profile, dtype=float))
+    if not loads:
+        raise ValueError("empty profile")
+    capacity = policy.capacity_per_server
+    ceiling = _servers_for(
+        max(loads) * policy.headroom, capacity, policy.min_servers
+    )
+    if ceiling > policy.max_servers:
+        policy = replace(policy, max_servers=ceiling)
+    controller = make_controller(strategy, policy, loads)
+    trajectory: list[int] = []
+    violations = 0
+    for hour, load in enumerate(loads):
+        fleet = controller.decide(hour)
+        trajectory.append(fleet)
+        if _servers_needed(load, capacity) > fleet:
+            violations += 1
+        controller.observe(WindowSignals(hour, load, 0.0, 0.0, 0.0, 0, 0))
+    return ProvisioningOutcome(
+        strategy=controller.name,
+        server_hours=sum(trajectory),
+        underprovisioned_hours=violations,
+        n_hours=len(loads),
+        trajectory=tuple(trajectory),
+    )
+
+
+def compare_strategies(
+    profile: np.ndarray, policy: AutoscalerPolicy
+) -> dict[str, ProvisioningOutcome]:
+    """The closed form of the fault-blind strategies over one profile."""
+    return {
+        name: provision(name, profile, policy)
+        for name in ("static", "reactive", "predictive", "oracle")
+    }
 
 
 # ----------------------------------------------------------------------
@@ -755,7 +615,7 @@ def diurnal_autoscale_workload(
 
 
 # ----------------------------------------------------------------------
-# The loop itself.
+# The chaos-coupled loop: fleet controllers driven by live signals.
 # ----------------------------------------------------------------------
 
 #: Chaos-tolerant retry policy for autoscale runs (rides out crash
@@ -858,22 +718,7 @@ class AutoscaleRun:
             "reconciled": self.reconciled,
             "log_digest": self.log_digest,
             "fault_stats": self.stats.as_dict(),
-            "windows": [
-                {
-                    "window": w.window,
-                    "fleet": w.fleet,
-                    "offered": w.offered,
-                    "completed": w.completed,
-                    "aborted": w.aborted,
-                    "shed_rate": w.shed_rate,
-                    "failure_rate": w.failure_rate,
-                    "down_fraction": w.down_fraction,
-                    "underprovisioned": w.underprovisioned,
-                    "violation": w.violation,
-                    "reconciled": w.reconciled,
-                }
-                for w in self.windows
-            ],
+            "windows": [asdict(w) for w in self.windows],
         }
         return json.dumps(doc, sort_keys=True, indent=2)
 

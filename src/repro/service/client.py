@@ -49,6 +49,11 @@ from .chunks import build_manifest, chunk_sizes
 from .frontend import FrontendServer
 from .metadata import MetadataServer
 
+#: Enum members used per transfer, read as module names: reaching one
+#: through its enum class costs ~0.1 µs on CPython 3.11.
+_STORE = Direction.STORE
+_RETRIEVE = Direction.RETRIEVE
+
 
 def client_seed(user_id: int, device_id: str, seed: int) -> np.random.SeedSequence:
     """Stable per-client seed stream, independent of ``PYTHONHASHSEED``.
@@ -179,18 +184,15 @@ class StorageClient:
         tally = _AttemptTally()
         manifest = build_manifest(name, content_seed, size)
         decision = self._metadata_call(
-            lambda: self.metadata.request_store(
-                self.user_id, manifest, now=self.clock
-            ),
-            tally,
+            self.metadata.request_store, (self.user_id, manifest), tally
         )
         if decision is None:
             return self._aborted(
-                Direction.STORE, "", size, manifest.n_chunks, started, tally
+                _STORE, "", size, manifest.n_chunks, started, tally
             )
         if decision.duplicate:
             return TransferReport(
-                direction=Direction.STORE,
+                direction=_STORE,
                 url=decision.url,
                 size=size,
                 n_chunks=manifest.n_chunks,
@@ -203,20 +205,20 @@ class StorageClient:
             )
         if not self._file_op(decision.frontend_id, STORE_CODE, tally):
             return self._aborted(
-                Direction.STORE, "", size, manifest.n_chunks, started, tally
+                _STORE, "", size, manifest.n_chunks, started, tally
             )
         if not self._transfer_chunks(
             decision.frontend_id, manifest.chunk_sizes, STORE_CODE, tally
         ):
             return self._aborted(
-                Direction.STORE, "", size, manifest.n_chunks, started, tally
+                _STORE, "", size, manifest.n_chunks, started, tally
             )
         url = self.metadata.commit_store(
             self.user_id, manifest, decision.frontend_id, now=self.clock
         )
         self._note_completed()
         return TransferReport(
-            direction=Direction.STORE,
+            direction=_STORE,
             url=url,
             size=size,
             n_chunks=manifest.n_chunks,
@@ -233,28 +235,28 @@ class StorageClient:
         started = self.clock
         tally = _AttemptTally()
         resolved = self._metadata_call(
-            lambda: self.metadata.resolve_url(url, now=self.clock), tally
+            self.metadata.resolve_url, (url,), tally
         )
         if resolved is None:
-            return self._aborted(Direction.RETRIEVE, url, 0, 0, started, tally)
+            return self._aborted(_RETRIEVE, url, 0, 0, started, tally)
         record, frontend_id = resolved
         # A download needs only the chunk layout, not the content hashes.
         sizes = chunk_sizes(record.size)
         if not self._file_op(frontend_id, RETRIEVE_CODE, tally):
             return self._aborted(
-                Direction.RETRIEVE, url, record.size, len(sizes),
+                _RETRIEVE, url, record.size, len(sizes),
                 started, tally,
             )
         if not self._transfer_chunks(
             frontend_id, sizes, RETRIEVE_CODE, tally
         ):
             return self._aborted(
-                Direction.RETRIEVE, url, record.size, len(sizes),
+                _RETRIEVE, url, record.size, len(sizes),
                 started, tally,
             )
         self._note_completed()
         return TransferReport(
-            direction=Direction.RETRIEVE,
+            direction=_RETRIEVE,
             url=url,
             size=record.size,
             n_chunks=len(sizes),
@@ -306,19 +308,22 @@ class StorageClient:
         if self.fault_plan is not None:
             self.fault_plan.stats.backoff_seconds += delay
 
-    def _metadata_call(self, call: Callable, tally: _AttemptTally):
-        """Run a metadata operation with outage retries.
+    def _metadata_call(
+        self, method: Callable, args: tuple, tally: _AttemptTally
+    ):
+        """Run ``method(*args, now=clock)`` with outage retries.
 
-        Returns the operation's value, or ``None`` when the attempt
-        budget ran out.  Every attempt — failed or not — costs one
-        metadata round trip on the client clock, exactly as before.
+        The clock is read on each attempt: backoff advances it between
+        retries.  Returns the operation's value, or ``None`` when the
+        attempt budget ran out.  Every attempt — failed or not — costs
+        one metadata round trip on the client clock.
         """
         policy = self.retry_policy
         failures = 0
         while True:
             tally.attempts += 1
             try:
-                value = call()
+                value = method(*args, now=self.clock)
             except MetadataUnavailableError:
                 # A sharded tier cannot attribute URL resolutions to the
                 # requesting user itself; tell it who got blocked (set

@@ -27,6 +27,9 @@ dedup), :class:`PerFileEmissionGenerator` (per-file chunk emission) and
 :func:`summarize_per_record` (the per-record summary fold).  The live
 path's attempts run their earlier way inside :func:`reference_attempts`
 (closure/keyword attempts, unmemoized placement, scalar fault draws).
+The autoscaler's are :func:`reference_reactive` and
+:func:`reference_predictive`, the closed-form provisioning loops the
+fault-free controller driver replaced.
 
 :func:`bench_replay_pass`, :func:`bench_paper_scale_digests` and
 :func:`bench_analyze_digest` mirror the benchmark workloads whose
@@ -61,6 +64,7 @@ from repro.logs.columnar import (
 from repro.logs.io import open_reader, record_to_tsv, write_tsv
 from repro.logs.schema import CHUNK_SIZE, Direction, LogRecord, ResultCode
 from repro.logs.summary import TraceSummary, summarize
+from repro.service.autoscaler import _servers_for, _servers_needed
 from repro.service.client import StorageClient
 from repro.service.cluster import ServiceCluster
 from repro.service.metadata import MetadataServer
@@ -722,3 +726,77 @@ def summarize_per_record(records: Iterable[LogRecord]) -> TraceSummary:
         else:
             s._pc_users.add(record.user_id)
     return s
+
+
+# ----------------------------------------------------------------------
+# Closed-form provisioning oracles: the hour loops ``provision`` replaced
+# ----------------------------------------------------------------------
+
+
+def reference_reactive(loads, policy) -> tuple[tuple[int, ...], int]:
+    """The closed-form reactive loop: ``(trajectory, underprovisioned)``.
+
+    Follows last hour's load with headroom (hour 0 bootstraps from
+    ``loads[0] * headroom``) and shrinks on a strictly-below target once
+    the at-or-below streak exceeds the cooldown.  No fleet ceiling.
+    """
+    capacity = policy.capacity_per_server
+    fleet = _servers_for(loads[0] * policy.headroom, capacity, policy.min_servers)
+    below_streak = 0
+    trajectory = []
+    violations = 0
+    for hour, load in enumerate(loads):
+        if hour > 0:
+            target = _servers_for(
+                loads[hour - 1] * policy.headroom, capacity, policy.min_servers
+            )
+            if target > fleet:
+                fleet = target
+                below_streak = 0
+            else:
+                below_streak += 1
+                if target < fleet and below_streak > policy.scale_down_cooldown:
+                    fleet = target
+                    below_streak = 0
+        trajectory.append(fleet)
+        violations += _servers_needed(load, capacity) > fleet
+    return tuple(trajectory), violations
+
+
+def reference_predictive(loads, policy) -> tuple[tuple[int, ...], int]:
+    """The closed-form predictive loop: ``(trajectory, underprovisioned)``.
+
+    Sizes each hour for the mean of the same-phase loads of up to three
+    past cycles (the last load before one full cycle) times headroom;
+    while the mean relative error of the last ``period`` forecasts
+    already scored exceeds the guardrail, the basis is
+    ``max(forecast, last load)``.  An hour's forecast is scored only
+    after that hour is sized.  No fleet ceiling.
+    """
+    capacity = policy.capacity_per_server
+    period = policy.period
+    fleet = _servers_for(loads[0] * policy.headroom, capacity, policy.min_servers)
+    errors: list[float] = []
+    trajectory = []
+    violations = 0
+    for hour, load in enumerate(loads):
+        if hour > 0:
+            history = loads[:hour]
+            if hour < period:
+                forecast = history[-1]
+            else:
+                same_phase = [
+                    history[hour - k * period]
+                    for k in range(1, 4)
+                    if hour - k * period >= 0
+                ]
+                forecast = sum(same_phase) / len(same_phase)
+            basis = forecast
+            recent = errors[-period:]
+            if recent and sum(recent) / len(recent) > policy.forecast_guardrail:
+                basis = max(forecast, history[-1])
+            fleet = _servers_for(basis * policy.headroom, capacity, policy.min_servers)
+            errors.append(abs(forecast - load) / max(load, 1.0))
+        trajectory.append(fleet)
+        violations += _servers_needed(load, capacity) > fleet
+    return tuple(trajectory), violations

@@ -379,3 +379,45 @@ def test_reference_attempts_restores_the_fast_paths():
     with reference_attempts():
         assert StorageClient.__dict__["_request"] is not fast
     assert StorageClient.__dict__["_request"] is fast
+
+
+# ----------------------------------------------------------------------
+# Metadata retries: the clock is read per attempt
+# ----------------------------------------------------------------------
+
+
+def test_metadata_retries_read_the_clock_per_attempt():
+    from repro.service import ClientNetwork, ServiceCluster
+
+    cluster = ServiceCluster(
+        n_frontends=2,
+        faults=FaultConfig(metadata_outage_rate=2.0, metadata_mean_downtime=10.0),
+        fault_seed=3,
+    )
+    window = cluster.fault_plan.metadata_windows[0]
+    client = cluster.new_client(
+        1, "d1", DeviceType.ANDROID,
+        network=ClientNetwork(rtt=0.05, bandwidth=2_000_000.0),
+    )
+    client.clock = max(window.start, window.end - 0.3)
+    started = client.clock
+    seen = []
+    request_store = cluster.metadata.request_store
+
+    def recording(user_id, manifest, *, now):
+        seen.append(now)
+        return request_store(user_id, manifest, now=now)
+
+    with mock.patch.object(cluster.metadata, "request_store", recording):
+        report = client.store_file("a.jpg", b"a", 200_000)
+    assert report.completed
+    # Retried inside the outage, then served once it lifted.
+    assert len(seen) >= 2
+    assert seen[0] == started
+    assert all(a < b for a, b in zip(seen, seen[1:]))
+    assert seen[-2] < window.end <= seen[-1]
+    # Each retry started after one round trip plus its backoff delay.
+    stats = cluster.fault_plan.stats
+    assert seen[-1] - seen[0] == pytest.approx(
+        (len(seen) - 1) * 0.05 + stats.backoff_seconds
+    )

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.experiments import r6_autoscaler as r6
 from repro.faults import FaultConfig, FaultPlan, FaultStats, ZoneConfig
 from repro.service.autoscaler import (
     AutoscalerPolicy,
@@ -17,6 +18,7 @@ from repro.service.autoscaler import (
     WindowSignals,
     diurnal_autoscale_workload,
     make_controller,
+    provision,
     run_autoscaled_service,
 )
 from repro.service.cluster import ServiceCluster
@@ -283,3 +285,22 @@ class TestAutoscaledRun:
     def test_rejects_negative_slo(self):
         with pytest.raises(ValueError):
             run_autoscaled_service(small_workload(4), POLICY, slo_shed=-0.1)
+
+
+@pytest.mark.parametrize(
+    "strategy", ["static", "reactive", "fault-aware", "predictive", "oracle"]
+)
+def test_fault_free_loop_follows_the_closed_form(strategy):
+    # R6's workload and policy: no fault plan, so every window's signals
+    # are fault-free and the controller sees exactly what provision feeds.
+    workload = r6.build_workload()
+    run = run_autoscaled_service(
+        workload,
+        r6.R6_POLICY,
+        strategy=strategy,
+        frontend_capacity=r6.FRONTEND_CAPACITY,
+        retry_policy=r6.R6_RETRY_POLICY,
+    )
+    closed = provision(strategy, list(workload.loads), r6.R6_POLICY)
+    assert run.trajectory() == closed.trajectory
+    assert run.underprovisioned_windows == closed.underprovisioned_hours

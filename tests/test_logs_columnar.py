@@ -283,7 +283,9 @@ def test_invalid_enum_value_raises(tmp_path):
     path.write_text(
         path.read_text().replace("\tios\t", "\tcommodore64\t")
     )
-    with pytest.raises(ValueError, match="unknown enum value"):
+    with pytest.raises(
+        ValueError, match="unknown device_type value: 'commodore64'"
+    ):
         read_tsv_columnar(path)
 
 

@@ -1,5 +1,7 @@
 """Tests for log file I/O (TSV / JSONL, plain and gzipped)."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.logs import (
     RequestKind,
     open_reader,
     read_jsonl,
+    read_jsonl_columnar,
     read_tsv,
     read_tsv_columnar,
     record_from_dict,
@@ -291,3 +294,65 @@ def test_tsv_readers_agree_on_proxied(tmp_path, text):
         list(read_tsv(path))
     with pytest.raises(ValueError, match=f"proxied value: {text!r}"):
         read_tsv_columnar(path)
+
+
+@pytest.mark.parametrize(
+    "column, bad",
+    [
+        ("device_type", "commodore64"),
+        ("kind", "upload"),
+        ("direction", "stoor"),
+        ("result", "okay"),
+    ],
+)
+def test_bulk_readers_name_the_bad_enum_column(tmp_path, column, bad):
+    row = record_to_dict(SAMPLE[0])
+    tsv = tmp_path / "t.tsv"
+    write_tsv(SAMPLE[:1], tsv)
+    head, line = tsv.read_text().splitlines()
+    fields = line.split("\t")
+    fields[fields.index(row[column])] = bad
+    tsv.write_text(head + "\n" + "\t".join(fields) + "\n")
+    jsonl = tmp_path / "t.jsonl"
+    jsonl.write_text(json.dumps({**row, column: bad}) + "\n")
+    message = f"unknown {column} value: {bad!r}"
+    with pytest.raises(ValueError, match=message):
+        read_tsv_columnar(tsv)
+    with pytest.raises(ValueError, match=message):
+        read_jsonl_columnar(jsonl)
+
+
+#: Marks a JSONL row written without a ``proxied`` field.
+_ABSENT = object()
+
+
+def _jsonl_with_proxied(path, value):
+    row = record_to_dict(SAMPLE[0])
+    if value is _ABSENT:
+        del row["proxied"]
+    else:
+        row["proxied"] = value
+    path.write_text(json.dumps(row) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("value", ["false", "true", 0, 1])
+def test_jsonl_readers_reject_non_boolean_proxied(tmp_path, value):
+    path = _jsonl_with_proxied(tmp_path / "t.jsonl", value)
+    message = f"unknown proxied value: {value!r}"
+    with pytest.raises(ValueError, match=message):
+        list(read_jsonl(path))
+    with pytest.raises(ValueError, match=message):
+        read_jsonl_columnar(path)
+
+
+@pytest.mark.parametrize(
+    "value, expected", [(True, True), (False, False), (_ABSENT, False)]
+)
+def test_jsonl_readers_agree_on_boolean_proxied(tmp_path, value, expected):
+    path = _jsonl_with_proxied(tmp_path / "t.jsonl", value)
+    records = list(read_jsonl(path))
+    assert [r.proxied for r in records] == [expected]
+    columnar = read_jsonl_columnar(path)
+    assert columnar.proxied.tolist() == [expected]
+    assert list(columnar.iter_records()) == records
