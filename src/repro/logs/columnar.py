@@ -134,6 +134,15 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 Row = tuple[float, int, str, int, int, int, int, float, float, float, bool, int, int]
 
 
+#: ``(Row index, code table)`` of each enum field.
+_CODE_TABLES = (
+    (1, DEVICE_TYPES),
+    (4, REQUEST_KINDS),
+    (5, DIRECTIONS),
+    (11, RESULT_CODES),
+)
+
+
 def record_from_row(row: Row) -> LogRecord:
     """The :class:`LogRecord` a :data:`Row` stands for."""
     return LogRecord(
@@ -376,12 +385,13 @@ class ColumnarTrace:
     def iter_records(self) -> Iterator[LogRecord]:
         """Yield rows as records one at a time (bounded memory)."""
         # .tolist() converts to native Python scalars in bulk, ~5x faster
-        # than per-element np indexing.  Decoding the device codes through
-        # the pool makes each zipped tuple a Row.
+        # than per-element np indexing.  The device and enum codes are
+        # decoded column by column, so each record is one LogRecord call
+        # on the columns' values, with no per-row Row tuple or frame.
         columns = [getattr(self, name).tolist() for name, _ in COLUMNS]
-        pool = self.device_pool
-        columns[2] = [pool[code] for code in columns[2]]
-        return map(record_from_row, zip(*columns))
+        for index, table in ((2, self.device_pool),) + _CODE_TABLES:
+            columns[index] = list(map(table.__getitem__, columns[index]))
+        return map(LogRecord, *columns)
 
     def to_records(self) -> list[LogRecord]:
         """Materialize the whole trace as a record list (row order kept)."""

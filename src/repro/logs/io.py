@@ -294,21 +294,30 @@ def _json_proxied(value: object) -> bool:
     raise ValueError(f"unknown proxied value: {value!r}")
 
 
+def _json_enum(table: dict, name: str, value: object):
+    """Decode a JSONL enum field through its TSV value table; an unknown
+    value raises the columnar readers' ``unknown {name} value`` error."""
+    try:
+        return table[value]
+    except KeyError:
+        raise ValueError(f"unknown {name} value: {value!r}") from None
+
+
 def record_from_dict(data: dict) -> LogRecord:
     """Build a record from a dict produced by :func:`record_to_dict`."""
     return LogRecord(
         timestamp=float(data["timestamp"]),
-        device_type=DeviceType(data["device_type"]),
+        device_type=_json_enum(_DEVICE_TYPES, "device_type", data["device_type"]),
         device_id=str(data["device_id"]),
         user_id=int(data["user_id"]),
-        kind=RequestKind(data["kind"]),
-        direction=Direction(data["direction"]),
+        kind=_json_enum(_KINDS, "kind", data["kind"]),
+        direction=_json_enum(_DIRECTIONS, "direction", data["direction"]),
         volume=int(data.get("volume", 0)),
         processing_time=float(data.get("processing_time", 0.0)),
         server_time=float(data.get("server_time", 0.0)),
         rtt=float(data.get("rtt", 0.0)),
         proxied=_json_proxied(data.get("proxied", False)),
-        result=ResultCode(data.get("result", "ok")),
+        result=_json_enum(_RESULTS, "result", data.get("result", "ok")),
         session_id=int(data.get("session_id", -1)),
     )
 

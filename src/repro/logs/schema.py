@@ -15,7 +15,7 @@ store/retrieve) from *chunk requests* (which carry up to 512 KB of data).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator
 
 #: Fixed chunk size used by the examined service (bytes).  Files larger than
@@ -73,12 +73,16 @@ class ResultCode(enum.Enum):
     #: Rejected by degraded-mode load shedding (in-flight queue full).
     SHED = "shed"
 
-    @property
-    def is_ok(self) -> bool:
-        return self is ResultCode.OK
+
+#: Members the record predicates and checks compare against by identity:
+#: a module global is one dict lookup, an enum class attribute two.
+_PC = DeviceType.PC
+_FILE_OP = RequestKind.FILE_OP
+_CHUNK = RequestKind.CHUNK
+_OK = ResultCode.OK
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LogRecord:
     """One HTTP request log entry (paper Table 1).
 
@@ -121,6 +125,13 @@ class LogRecord:
         ``-1`` when unknown (as in real traces).  The analysis pipeline never
         reads this field; it exists so tests can score recovered
         sessionizations against the truth.
+
+    The constructor is written out rather than generated: it stores each
+    field through its slot's member descriptor (:data:`_SLOT_SETTERS`),
+    where the generated frozen ``__init__`` pays one ``object.__setattr__``
+    call per field, then runs :meth:`__post_init__` as the generated one
+    would.  Signature, equality, hashing, ``repr``, frozenness,
+    :func:`~dataclasses.replace` and pickling are the dataclass's.
     """
 
     timestamp: float
@@ -137,6 +148,52 @@ class LogRecord:
     result: ResultCode = ResultCode.OK
     session_id: int = field(default=-1, compare=False)
 
+    def __init__(
+        self,
+        timestamp: float,
+        device_type: DeviceType,
+        device_id: str,
+        user_id: int,
+        kind: RequestKind,
+        direction: Direction,
+        volume: int = 0,
+        processing_time: float = 0.0,
+        server_time: float = 0.0,
+        rtt: float = 0.0,
+        proxied: bool = False,
+        result: ResultCode = ResultCode.OK,
+        session_id: int = -1,
+    ) -> None:
+        (
+            set_timestamp,
+            set_device_type,
+            set_device_id,
+            set_user_id,
+            set_kind,
+            set_direction,
+            set_volume,
+            set_processing_time,
+            set_server_time,
+            set_rtt,
+            set_proxied,
+            set_result,
+            set_session_id,
+        ) = _SLOT_SETTERS
+        set_timestamp(self, timestamp)
+        set_device_type(self, device_type)
+        set_device_id(self, device_id)
+        set_user_id(self, user_id)
+        set_kind(self, kind)
+        set_direction(self, direction)
+        set_volume(self, volume)
+        set_processing_time(self, processing_time)
+        set_server_time(self, server_time)
+        set_rtt(self, rtt)
+        set_proxied(self, proxied)
+        set_result(self, result)
+        set_session_id(self, session_id)
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         if self.volume < 0:
             raise ValueError(f"volume must be >= 0, got {self.volume}")
@@ -144,27 +201,27 @@ class LogRecord:
             raise ValueError("processing_time must be >= 0")
         if self.rtt < 0:
             raise ValueError("rtt must be >= 0")
-        if self.kind is RequestKind.FILE_OP and self.volume:
+        if self.kind is _FILE_OP and self.volume:
             raise ValueError("file operations carry no payload")
-        if self.result is not ResultCode.OK and self.volume:
+        if self.result is not _OK and self.volume:
             raise ValueError("failed requests carry no payload")
 
     @property
     def is_file_op(self) -> bool:
-        return self.kind is RequestKind.FILE_OP
+        return self.kind is _FILE_OP
 
     @property
     def is_chunk(self) -> bool:
-        return self.kind is RequestKind.CHUNK
+        return self.kind is _CHUNK
 
     @property
     def is_mobile(self) -> bool:
-        return self.device_type.is_mobile
+        return self.device_type is not _PC
 
     @property
     def is_ok(self) -> bool:
         """Whether the request succeeded (Table 1 result field)."""
-        return self.result.is_ok
+        return self.result is _OK
 
     @property
     def transfer_time(self) -> float:
@@ -174,6 +231,14 @@ class LogRecord:
     def with_timestamp(self, timestamp: float) -> "LogRecord":
         """Return a copy shifted to ``timestamp`` (used by deferral policies)."""
         return replace(self, timestamp=timestamp)
+
+
+#: The slots' member descriptors' ``__set__``, in field order, bound once:
+#: :meth:`LogRecord.__init__` stores through them, bypassing the frozen
+#: ``__setattr__``.
+_SLOT_SETTERS = tuple(
+    getattr(LogRecord, f.name).__set__ for f in fields(LogRecord)
+)
 
 
 def iter_file_ops(records: Iterable[LogRecord]) -> Iterator[LogRecord]:

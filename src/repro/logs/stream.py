@@ -10,14 +10,21 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
 from .columnar import STORE_CODE, ColumnarTrace
-from .schema import Direction, LogRecord
+from .schema import DeviceType, Direction, LogRecord, RequestKind
 
 K = TypeVar("K", bound=Hashable)
+
+#: Members the per-record folds compare against by identity: a module
+#: global is one dict lookup, an enum class attribute two.
+_STORE = Direction.STORE
+_FILE_OP = RequestKind.FILE_OP
+_PC = DeviceType.PC
 
 
 @dataclass
@@ -33,14 +40,14 @@ class VolumeTally:
 
     def add(self, record: LogRecord) -> None:
         """Fold one record into the tally."""
-        if record.direction is Direction.STORE:
-            if record.is_file_op:
+        if record.direction is _STORE:
+            if record.kind is _FILE_OP:
                 self.store_file_ops += 1
             else:
                 self.store_chunks += 1
                 self.stored_bytes += record.volume
         else:
-            if record.is_file_op:
+            if record.kind is _FILE_OP:
                 self.retrieve_file_ops += 1
             else:
                 self.retrieve_chunks += 1
@@ -199,7 +206,7 @@ def devices_by_user(records: Iterable[LogRecord]) -> dict[int, UserDevices]:
     users: dict[int, UserDevices] = defaultdict(UserDevices)
     for record in records:
         entry = users[record.user_id]
-        if record.is_mobile:
+        if record.device_type is not _PC:
             entry.mobile_devices.add(record.device_id)
         else:
             entry.pc_devices.add(record.device_id)
@@ -276,8 +283,9 @@ def group_by_user(
     groups: dict[int, list[LogRecord]] = defaultdict(list)
     for record in records:
         groups[record.user_id].append(record)
+    by_time = attrgetter("timestamp")
     for group in groups.values():
-        group.sort(key=lambda r: r.timestamp)
+        group.sort(key=by_time)
     return dict(groups)
 
 

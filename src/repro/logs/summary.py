@@ -106,7 +106,9 @@ def summarize(records: Iterable[LogRecord]) -> TraceSummary:
     One loop over the records with local accumulators; the summary is
     built once at the end.  Sets and the platform dict are filled in
     record order, so they equal (and iterate like) a record-at-a-time
-    fold's.
+    fold's.  Platforms are counted per run of equal ``device_type`` and
+    hashed into the dict once per run: a run's count is added when the
+    next run starts, which keeps the dict in first-appearance order.
     """
     file_op, store, pc = RequestKind.FILE_OP, Direction.STORE, DeviceType.PC
     n_records = n_file_ops = n_proxied = stored_bytes = retrieved_bytes = 0
@@ -114,6 +116,7 @@ def summarize(records: Iterable[LogRecord]) -> TraceSummary:
     users: set[int] = set()
     devices: set[str] = set()
     records_by_platform: dict[DeviceType, int] = {}
+    platform, run = None, 0
     mobile_users: set[int] = set()
     pc_users: set[int] = set()
     for record in records:
@@ -136,11 +139,17 @@ def summarize(records: Iterable[LogRecord]) -> TraceSummary:
         users.add(user_id)
         devices.add(record.device_id)
         device_type = record.device_type
-        records_by_platform[device_type] = records_by_platform.get(device_type, 0) + 1
+        if device_type is not platform:
+            if run:
+                records_by_platform[platform] = records_by_platform.get(platform, 0) + run
+            platform, run = device_type, 0
+        run += 1
         if device_type is pc:
             pc_users.add(user_id)
         else:
             mobile_users.add(user_id)
+    if run:
+        records_by_platform[platform] = records_by_platform.get(platform, 0) + run
     return TraceSummary(
         n_records=n_records,
         n_file_ops=n_file_ops,

@@ -296,15 +296,16 @@ def test_tsv_readers_agree_on_proxied(tmp_path, text):
         read_tsv_columnar(path)
 
 
-@pytest.mark.parametrize(
-    "column, bad",
-    [
-        ("device_type", "commodore64"),
-        ("kind", "upload"),
-        ("direction", "stoor"),
-        ("result", "okay"),
-    ],
-)
+#: One unknown value per enum column.
+_BAD_ENUM_VALUES = [
+    ("device_type", "commodore64"),
+    ("kind", "upload"),
+    ("direction", "stoor"),
+    ("result", "okay"),
+]
+
+
+@pytest.mark.parametrize("column, bad", _BAD_ENUM_VALUES)
 def test_bulk_readers_name_the_bad_enum_column(tmp_path, column, bad):
     row = record_to_dict(SAMPLE[0])
     tsv = tmp_path / "t.tsv"
@@ -320,6 +321,18 @@ def test_bulk_readers_name_the_bad_enum_column(tmp_path, column, bad):
         read_tsv_columnar(tsv)
     with pytest.raises(ValueError, match=message):
         read_jsonl_columnar(jsonl)
+
+
+@pytest.mark.parametrize("column, bad", _BAD_ENUM_VALUES)
+def test_jsonl_readers_give_one_enum_error(tmp_path, column, bad):
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps({**record_to_dict(SAMPLE[0]), column: bad}) + "\n")
+    with pytest.raises(ValueError) as record_error:
+        list(read_jsonl(path))
+    with pytest.raises(ValueError) as columnar_error:
+        read_jsonl_columnar(path)
+    message = f"unknown {column} value: {bad!r}"
+    assert str(record_error.value) == str(columnar_error.value) == message
 
 
 #: Marks a JSONL row written without a ``proxied`` field.
