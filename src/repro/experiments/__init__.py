@@ -41,7 +41,7 @@ from . import (
     s1_session_classes,
     table3_user_types,
 )
-from .base import Check, ExperimentResult, print_result
+from .base import Check, ExperimentResult
 
 ALL_EXPERIMENTS = (
     d1_dataset,
@@ -97,6 +97,5 @@ __all__ = [
     "ALL_EXPERIMENTS",
     "Check",
     "ExperimentResult",
-    "print_result",
     "run_all",
 ]

@@ -126,7 +126,3 @@ class ExperimentResult:
             ],
             "rows": list(self.rows),
         }
-
-
-def print_result(result: ExperimentResult) -> None:
-    print(result.render())

@@ -73,6 +73,12 @@ KIND_CODE = {member: code for code, member in enumerate(REQUEST_KINDS)}
 DIRECTION_CODE = {member: code for code, member in enumerate(DIRECTIONS)}
 RESULT_CODE = {member: code for code, member in enumerate(RESULT_CODES)}
 
+#: The same tables keyed by ``id(member)`` (see :meth:`ColumnarTrace.from_records`).
+_DEVICE_CODE_BY_ID = {id(m): c for m, c in DEVICE_CODE.items()}
+_KIND_CODE_BY_ID = {id(m): c for m, c in KIND_CODE.items()}
+_DIRECTION_CODE_BY_ID = {id(m): c for m, c in DIRECTION_CODE.items()}
+_RESULT_CODE_BY_ID = {id(m): c for m, c in RESULT_CODE.items()}
+
 #: Frequently tested codes, exported so analysis modules can build boolean
 #: masks without importing the code dicts.
 PC_CODE = DEVICE_CODE[DeviceType.PC]
@@ -285,27 +291,44 @@ class ColumnarTrace:
 
     @classmethod
     def from_records(cls, records: Iterable[LogRecord]) -> "ColumnarTrace":
-        """Build a columnar trace from any record iterable, order-preserving."""
-        return cls.from_rows(
-            [
+        """Build a columnar trace from any record iterable, order-preserving.
+
+        Enum fields are encoded by member identity (the ``*_CODE_BY_ID``
+        tables): hashing an enum member is a Python-level call, ``id`` is
+        not.  A field holding a non-member raises the ``KeyError`` the
+        member-keyed tables raise for it.
+        """
+        if not isinstance(records, (list, tuple)):
+            records = list(records)
+        device, kind = _DEVICE_CODE_BY_ID, _KIND_CODE_BY_ID
+        direction, result = _DIRECTION_CODE_BY_ID, _RESULT_CODE_BY_ID
+        try:
+            rows = [
                 (
                     r.timestamp,
-                    DEVICE_CODE[r.device_type],
+                    device[id(r.device_type)],
                     r.device_id,
                     r.user_id,
-                    KIND_CODE[r.kind],
-                    DIRECTION_CODE[r.direction],
+                    kind[id(r.kind)],
+                    direction[id(r.direction)],
                     r.volume,
                     r.processing_time,
                     r.server_time,
                     r.rtt,
                     r.proxied,
-                    RESULT_CODE[r.result],
+                    result[id(r.result)],
                     r.session_id,
                 )
                 for r in records
             ]
-        )
+        except KeyError:
+            for r in records:
+                DEVICE_CODE[r.device_type]
+                KIND_CODE[r.kind]
+                DIRECTION_CODE[r.direction]
+                RESULT_CODE[r.result]
+            raise
+        return cls.from_rows(rows)
 
     @classmethod
     def from_string_columns(

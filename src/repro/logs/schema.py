@@ -259,8 +259,3 @@ def iter_ok(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
     must recover the fault-free workload statistics (experiment R2).
     """
     return (r for r in records if r.is_ok)
-
-
-def iter_failures(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-    """Yield only failed requests, preserving order."""
-    return (r for r in records if not r.is_ok)

@@ -10,7 +10,7 @@ updates).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..logs.schema import CHUNK_SIZE
 
@@ -46,12 +46,26 @@ def content_md5(seed: bytes) -> str:
     return hashlib.md5(seed).hexdigest()
 
 
+def _chunk_md5s(content_seed: bytes, sizes) -> tuple[str, ...]:
+    """The chunk hashes of a synthetic file (see :func:`build_manifest`)."""
+    return tuple(
+        content_md5(content_seed + f"/chunk/{i}/{size}".encode())
+        for i, size in enumerate(sizes)
+    )
+
+
 @dataclass(frozen=True)
 class FileManifest:
     """Metadata the client sends in a file storage operation request.
 
     Mirrors Section 2.1: the file name, size and MD5, plus the number of
     chunks and each chunk's MD5.
+
+    A manifest from :func:`build_manifest` hashes its chunks only when
+    ``chunk_md5s`` is first read, at most once: the metadata server keys
+    dedup on ``file_md5`` alone, and only chunk-level dedup reads the
+    chunk hashes.  Equality, hashing, ``repr`` and pickling read the
+    field, so a lazy manifest is indistinguishable from an eager one.
     """
 
     name: str
@@ -66,9 +80,27 @@ class FileManifest:
         if sum(self.chunk_sizes) != self.size:
             raise ValueError("chunk sizes must sum to the file size")
 
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance does not hold: a lazy
+        # manifest's ``chunk_md5s`` before its first read.
+        state = self.__dict__
+        if name != "chunk_md5s" or "_content_seed" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        hashes = _chunk_md5s(state["_content_seed"], state["chunk_sizes"])
+        state["chunk_md5s"] = hashes
+        del state["_content_seed"]
+        return hashes
+
+    def __getstate__(self) -> dict:
+        # Field order, chunk hashes included: the pickle of a lazy
+        # manifest is byte-identical to that of an eager one.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @property
     def n_chunks(self) -> int:
-        return len(self.chunk_md5s)
+        return len(self.chunk_sizes)
 
 
 def build_manifest(
@@ -82,18 +114,18 @@ def build_manifest(
     seed, the chunk index and the chunk's length, so two files sharing a
     seed and size share every chunk hash (full-content duplicates) while
     distinct seeds collide on nothing.
+
+    The file hash is computed here; the chunk hashes on the first read of
+    ``chunk_md5s``.  The hash list aligns with ``chunk_sizes`` and the
+    sizes sum to ``file_size`` by construction, so the manifest skips the
+    checks an explicitly built one runs.
     """
-    sizes = chunk_sizes(file_size, chunk_size)
-    chunk_md5s = tuple(
-        content_md5(
-            content_seed + f"/chunk/{i}/{size}".encode()
-        )
-        for i, size in enumerate(sizes)
-    )
-    return FileManifest(
+    manifest = object.__new__(FileManifest)
+    manifest.__dict__.update(
         name=name,
         size=file_size,
         file_md5=content_md5(content_seed + f"/len/{file_size}".encode()),
-        chunk_md5s=chunk_md5s,
-        chunk_sizes=tuple(sizes),
+        chunk_sizes=tuple(chunk_sizes(file_size, chunk_size)),
+        _content_seed=content_seed,
     )
+    return manifest

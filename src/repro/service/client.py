@@ -424,21 +424,17 @@ class StorageClient:
         historical behaviour, byte-identical when zones are off).  With
         zones, prefer the nearest front-end in rotation order that sits
         *outside* the failed server's zone; fall back to plain rotation
-        when the whole fleet shares one zone.
+        when the whole fleet shares one zone.  The step depends only on
+        the failed server and the fleet size, so it is read from the
+        plan's table (:meth:`~repro.faults.FaultPlan.failover_steps`).
         """
-        n = len(self.frontends)
-        failed_id = (preferred_id + shift) % n
         plan = self.fault_plan
         if plan is None:
             return shift + 1
-        failed_zone = plan.zone_of(failed_id)
-        if failed_zone is None:
+        steps = plan.failover_steps(len(self.frontends))
+        if steps is None:
             return shift + 1
-        for step in range(1, n):
-            candidate = (preferred_id + shift + step) % n
-            if plan.zone_of(candidate) != failed_zone:
-                return shift + step
-        return shift + 1
+        return shift + steps[(preferred_id + shift) % len(steps)]
 
     def _file_op(
         self, frontend_id: int, direction_code: int, tally: _AttemptTally
@@ -468,7 +464,7 @@ class StorageClient:
             )
             if outcome is None:
                 return False
-            tclt = float(tclt_dist.sample(self._rng))
+            tclt = tclt_dist.sample(self._rng)
             # The next chunk request goes out after the transfer completes
             # and the client prepared the next chunk.
             self.clock += outcome.tchunk + tclt

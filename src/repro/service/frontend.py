@@ -311,7 +311,7 @@ class FrontendServer:
                 failure, timestamp, device_type_code, device_id, user_id,
                 FILE_OP_CODE, direction_code, rtt, proxied, session_id,
             )
-        tsrv = float(self.profile.tsrv.sample(rng)) * 0.2  # metadata only
+        tsrv = self.profile.tsrv.sample(rng) * 0.2  # metadata only
         plan = self._faults
         if plan is not None:
             tsrv *= plan.latency_multiplier(self.server_id, timestamp)
@@ -356,7 +356,7 @@ class FrontendServer:
                 failure, timestamp, device_type_code, device_id, user_id,
                 CHUNK_CODE, direction_code, rtt, proxied, session_id,
             )
-        tsrv = float(self.profile.tsrv.sample(rng))
+        tsrv = self.profile.tsrv.sample(rng)
         ttran = self.transfer_model.transfer_time(
             size, rtt, bandwidth, DIRECTIONS[direction_code], restarted
         )

@@ -40,7 +40,7 @@ Scheduling semantics (also in ``docs/TELEMETRY.md``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .telemetry import SloPolicy, TelemetryCollector, TelemetrySnapshot
 _MB = 1024.0 * 1024.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplayOp:
     """One timestamped operation of a prepared replay trace.
 
@@ -79,6 +79,15 @@ class ReplayOp:
             raise ValueError("arrival must be >= 0")
         if self.direction is Direction.STORE and self.size <= 0:
             raise ValueError("store ops need a positive size")
+
+
+#: Per field of :class:`ReplayOp`, in order, the slot's member descriptor
+#: ``(__get__, __set__)`` pair: :func:`schedule_arrivals` copies ops
+#: through them, bypassing the frozen ``__setattr__``.
+_SLOTS = tuple(
+    (getattr(ReplayOp, f.name).__get__, getattr(ReplayOp, f.name).__set__)
+    for f in fields(ReplayOp)
+)
 
 
 def synthetic_replay_trace(
@@ -211,22 +220,22 @@ def schedule_arrivals(
     multiplication per arrival, so a power-of-two speedup rescales
     timestamps — and therefore inter-arrival gaps — exactly.  The sort
     is stable: equal-arrival ops keep their trace order.
+
+    The copies skip :meth:`ReplayOp.__post_init__`: the scale is
+    positive, so ``arrival >= 0`` still holds, and direction and size are
+    copied unchanged.
     """
     scale = 1.0 / resolve_speedup(trace, speedup, rate)
-    ordered = sorted(trace, key=lambda op: op.arrival)
-    return tuple(
-        ReplayOp(
-            arrival=op.arrival * scale,
-            user_id=op.user_id,
-            device_id=op.device_id,
-            device_type=op.device_type,
-            direction=op.direction,
-            name=op.name,
-            content_seed=op.content_seed,
-            size=op.size,
-        )
-        for op in ordered
-    )
+    (get_arrival, set_arrival), *others = _SLOTS
+    new = object.__new__
+    scheduled = []
+    for op in sorted(trace, key=get_arrival):
+        copy = new(ReplayOp)
+        set_arrival(copy, get_arrival(op) * scale)
+        for get, put in others:
+            put(copy, get(op))
+        scheduled.append(copy)
+    return tuple(scheduled)
 
 
 @dataclass

@@ -26,7 +26,9 @@ path's are :class:`OracleDeviceFold` (row-wise ``np.unique`` device
 dedup), :class:`PerFileEmissionGenerator` (per-file chunk emission) and
 :func:`summarize_per_record` (the per-record summary fold).  The live
 path's attempts run their earlier way inside :func:`reference_attempts`
-(closure/keyword attempts, unmemoized placement, scalar fault draws).
+(closure/keyword attempts, unmemoized placement, scalar fault draws,
+the per-failover zone scan :func:`scan_failover_shift` and the
+recomputed backoff :func:`computed_backoff_delay`).
 The autoscaler's are :func:`reference_reactive` and
 :func:`reference_predictive`, the closed-form provisioning loops the
 fault-free controller driver replaced.
@@ -51,7 +53,7 @@ import numpy as np
 from repro.core.report import analyze_trace
 from repro.core.streaming import DEVICE_GROUPS, analyze_stream, report_from_columnar
 from repro.experiments.r4_open_loop import R4_RETRY_POLICY, correlated_config
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, RetryPolicy
 from repro.logs.columnar import (
     CHUNK_CODE,
     DEVICE_CODE,
@@ -313,6 +315,34 @@ def _scalar_draw_pressure_shed(self, frontend_id, now):
     return bool(self._pressure_rngs[frontend_id].random() < probability)
 
 
+def scan_failover_shift(self, preferred_id, shift):
+    """``StorageClient._failover_shift`` before the plan's step table: scan
+    the fleet in rotation order for the nearest server outside the failed
+    one's zone on every failover."""
+    n = len(self.frontends)
+    failed_id = (preferred_id + shift) % n
+    plan = self.fault_plan
+    if plan is None:
+        return shift + 1
+    failed_zone = plan.zone_of(failed_id)
+    if failed_zone is None:
+        return shift + 1
+    for step in range(1, n):
+        candidate = (preferred_id + shift + step) % n
+        if plan.zone_of(candidate) != failed_zone:
+            return shift + step
+    return shift + 1
+
+
+def computed_backoff_delay(self, failure_index, rng):
+    """``RetryPolicy.backoff_delay`` before the delay table: the pre-jitter
+    delay recomputed on every retry."""
+    delay = self.nominal_delay(failure_index)
+    if self.jitter:
+        delay *= 1.0 + self.jitter * (2.0 * float(rng.random()) - 1.0)
+    return delay
+
+
 #: ``(owner, attribute, reference)`` swapped in by :func:`reference_attempts`.
 _REFERENCE_ATTEMPTS = (
     (StorageClient, "_request", _closure_request),
@@ -331,6 +361,8 @@ _REFERENCE_ATTEMPTS = (
     (FaultPlan, "draw_transient_error", _scalar_draw_transient_error),
     (FaultPlan, "error_fraction", _scalar_error_fraction),
     (FaultPlan, "draw_pressure_shed", _scalar_draw_pressure_shed),
+    (StorageClient, "_failover_shift", scan_failover_shift),
+    (RetryPolicy, "backoff_delay", computed_backoff_delay),
 )
 
 
@@ -340,8 +372,10 @@ def reference_attempts():
 
     Inside the block every client attempt goes through a per-attempt
     closure that calls the front-end handler by keyword, placement
-    recomputes its keyed digest on every call, and the fault plan draws
-    each error and pressure uniform with one scalar ``random()``.
+    recomputes its keyed digest on every call, the fault plan draws
+    each error and pressure uniform with one scalar ``random()``, a
+    failover scans the fleet for the next zone, and each backoff
+    recomputes its pre-jitter delay.
     """
     saved = [
         (owner, name, owner.__dict__[name])

@@ -15,7 +15,9 @@ what it computes.  Each piece is pinned here:
 * the per-instance placement memo against ``frontend_for``/``shard_for``
   for every user, also after the fleet or shard count changes;
 * whole access logs of the three ``replay`` benchmark passes and the 4x2
-  quorum golden replay against :func:`tests.helpers.reference_attempts`.
+  quorum golden replay against :func:`tests.helpers.reference_attempts`,
+  which also swaps the failover step table and the backoff delay table
+  back for the computations they replaced.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro import faults
 from repro.experiments.r4_open_loop import correlated_config
-from repro.faults import FaultConfig, FaultPlan, RequestOutcome
+from repro.faults import FaultConfig, FaultPlan, RequestOutcome, RetryPolicy
 from repro.logs.columnar import DEVICE_CODE, RETRIEVE_CODE, STORE_CODE
 from repro.logs.schema import DeviceType, ResultCode
 from repro.service.client import StorageClient
@@ -379,6 +381,18 @@ def test_reference_attempts_restores_the_fast_paths():
     with reference_attempts():
         assert StorageClient.__dict__["_request"] is not fast
     assert StorageClient.__dict__["_request"] is fast
+
+
+def test_reference_attempts_restores_the_retry_tables():
+    tables = [
+        (StorageClient, "_failover_shift", StorageClient.__dict__["_failover_shift"]),
+        (RetryPolicy, "backoff_delay", RetryPolicy.__dict__["backoff_delay"]),
+    ]
+    with reference_attempts():
+        for owner, name, fast in tables:
+            assert owner.__dict__[name] is not fast
+    for owner, name, fast in tables:
+        assert owner.__dict__[name] is fast
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,13 @@ from repro.logs import (
     write_jsonl,
     write_tsv,
 )
-from repro.logs.columnar import COLUMNS
+from repro.logs.columnar import (
+    COLUMNS,
+    DEVICE_CODE,
+    DIRECTION_CODE,
+    KIND_CODE,
+    RESULT_CODE,
+)
 from repro.logs.io import TSV_COLUMNS
 from repro.workload.generator import GeneratorOptions, generate_trace
 
@@ -97,6 +103,56 @@ def valid_record(draw):
         result=result,
         session_id=draw(st.integers(-1, 2**40)),
     )
+
+
+def member_keyed_rows(records):
+    """The rows ``from_records`` built before it encoded enums by identity."""
+    return [
+        (
+            r.timestamp,
+            DEVICE_CODE[r.device_type],
+            r.device_id,
+            r.user_id,
+            KIND_CODE[r.kind],
+            DIRECTION_CODE[r.direction],
+            r.volume,
+            r.processing_time,
+            r.server_time,
+            r.rtt,
+            r.proxied,
+            RESULT_CODE[r.result],
+            r.session_id,
+        )
+        for r in records
+    ]
+
+
+@given(records=st.lists(valid_record(), min_size=1, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_from_records_matches_member_keyed_encoding(records):
+    """Identity-keyed enum codes equal the member-keyed dict lookups."""
+    got = ColumnarTrace.from_records(iter(records))
+    expected = ColumnarTrace.from_rows(member_keyed_rows(records))
+    for name, dtype in COLUMNS:
+        assert got.columns()[name].dtype == np.dtype(dtype), name
+        np.testing.assert_array_equal(got.columns()[name], expected.columns()[name])
+    assert got.device_pool == expected.device_pool
+
+
+def test_from_records_rejects_a_non_member_like_the_member_tables():
+    record = LogRecord(
+        timestamp=1.0,
+        device_type="android",
+        device_id="d",
+        user_id=1,
+        kind=RequestKind.FILE_OP,
+        direction=Direction.STORE,
+    )
+    with pytest.raises(KeyError) as member_keyed:
+        member_keyed_rows([record])
+    with pytest.raises(KeyError) as ours:
+        ColumnarTrace.from_records([SAMPLE[0], record])
+    assert ours.value.args == member_keyed.value.args
 
 
 @given(records=st.lists(valid_record(), max_size=40))

@@ -1,11 +1,22 @@
 """Tests for chunking and content manifests."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.r4_open_loop import correlated_config
 from repro.logs import CHUNK_SIZE
-from repro.service import FileManifest, build_manifest, chunk_sizes, content_md5
+from repro.service import (
+    FileManifest,
+    ServiceCluster,
+    build_manifest,
+    chunk_sizes,
+    content_md5,
+)
+from repro.service import chunks as chunks_mod
+from repro.service.replay import replay_trace, synthetic_replay_trace
 
 
 class TestChunkSizes:
@@ -81,3 +92,98 @@ class TestManifest:
                 name="x", size=10, file_md5="a",
                 chunk_md5s=("h1",), chunk_sizes=(5,),
             )
+
+
+def eager_manifest(name: str, seed: bytes, size: int) -> FileManifest:
+    """The manifest as ``build_manifest`` built it before chunk hashes were lazy."""
+    sizes = chunk_sizes(size)
+    return FileManifest(
+        name=name,
+        size=size,
+        file_md5=content_md5(seed + f"/len/{size}".encode()),
+        chunk_md5s=tuple(
+            content_md5(seed + f"/chunk/{i}/{s}".encode())
+            for i, s in enumerate(sizes)
+        ),
+        chunk_sizes=tuple(sizes),
+    )
+
+
+@pytest.fixture
+def chunk_hash_calls(monkeypatch):
+    """Count the calls that hash a manifest's chunks."""
+    calls = []
+    original = chunks_mod._chunk_md5s
+
+    def counting(content_seed, sizes):
+        calls.append(content_seed)
+        return original(content_seed, sizes)
+
+    monkeypatch.setattr(chunks_mod, "_chunk_md5s", counting)
+    return calls
+
+
+manifest_args = st.tuples(
+    st.text(max_size=12),
+    st.binary(max_size=16),
+    st.integers(0, 9 * CHUNK_SIZE),
+)
+
+
+class TestLazyManifest:
+    @given(args=manifest_args)
+    @settings(max_examples=100)
+    def test_lazy_equals_eager(self, args):
+        eager = eager_manifest(*args)
+        assert build_manifest(*args) == eager
+        assert eager == build_manifest(*args)
+        # Equal and hashing alike: the two collapse to one set element.
+        assert len({build_manifest(*args), eager}) == 1
+        assert repr(build_manifest(*args)) == repr(eager)
+        assert build_manifest(*args).chunk_md5s == eager.chunk_md5s
+        assert build_manifest(*args).n_chunks == eager.n_chunks
+
+    @given(args=manifest_args)
+    @settings(max_examples=50)
+    def test_pickle_round_trip_and_bytes(self, args):
+        eager = eager_manifest(*args)
+        lazy = build_manifest(*args)
+        assert pickle.dumps(lazy) == pickle.dumps(eager)
+        assert pickle.loads(pickle.dumps(build_manifest(*args))) == eager
+
+    def test_chunk_hashes_computed_once_on_first_read(self, chunk_hash_calls):
+        manifest = build_manifest("a.jpg", b"seed", 3 * CHUNK_SIZE + 10)
+        assert manifest.n_chunks == 4
+        assert manifest.file_md5 and manifest.name == "a.jpg"
+        assert chunk_hash_calls == []
+        first = manifest.chunk_md5s
+        assert manifest.chunk_md5s is first
+        eager = eager_manifest("a.jpg", b"seed", 3 * CHUNK_SIZE + 10)
+        assert manifest == eager and len({manifest, eager}) == 1
+        assert chunk_hash_calls == [b"seed"]
+
+    def test_frozen_and_unknown_attributes(self):
+        manifest = build_manifest("a.jpg", b"seed", 10)
+        with pytest.raises(AttributeError):
+            manifest.chunk_md5s = ()
+        with pytest.raises(AttributeError, match="no attribute 'missing'"):
+            manifest.missing
+
+    def test_replay_computes_no_chunk_hash(self, chunk_hash_calls):
+        trace = synthetic_replay_trace(12, seed=5)
+        clean = replay_trace(trace, ServiceCluster(n_frontends=2), seed=3)
+        chaos = replay_trace(
+            trace,
+            ServiceCluster(
+                n_frontends=2,
+                faults=correlated_config(),
+                fault_seed=4,
+                metadata_shards=4,
+                metadata_replicas=2,
+                read_policy="quorum",
+            ),
+            seed=3,
+            speedup=4.0,
+        )
+        assert clean.ops_completed > 0 and chaos.ops_total > 0
+        assert chunk_hash_calls == []
