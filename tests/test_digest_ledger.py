@@ -21,7 +21,10 @@ has to edit the ledger, where the move shows in the diff.
 * ``battery.tcp.json``: the md5 of the eight packet-level TCP
   experiments' ``experiments ... --json`` output.  They take ~40 s, so
   the CI ``tcp-battery`` job recomputes this entry and ``cmp``s it with
-  the ledger; this module only checks the entry's shape.
+  the ledger; this module only checks the entry's shape;
+* ``battery.all.json``: the md5 of the whole battery's ``experiments
+  --json`` output (all 34 experiments, ~80 s), recomputed and ``cmp``ed
+  by the same CI job.
 """
 
 import contextlib
@@ -77,6 +80,7 @@ CI_BATTERY_ENTRIES = {
         "fig13_inflight",
         "fig16_idle",
     ),
+    "battery.all.json": (),
 }
 CLI_PREFIX = "PYTHONPATH=src python -m repro.cli "
 
@@ -165,8 +169,8 @@ def test_ledger_covers_every_battery_digest():
         ), name
     assert set(CI_BATTERY_ENTRIES) <= set(ledger())
     for name, experiments in CI_BATTERY_ENTRIES.items():
-        assert ledger()[name]["command"] == (
-            f"{CLI_PREFIX}experiments {' '.join(experiments)} --json"
+        assert ledger()[name]["command"] == CLI_PREFIX + " ".join(
+            ("experiments", *experiments, "--json")
         ), name
         assert "CI" in ledger()[name]["reads"], name
 
