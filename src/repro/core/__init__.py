@@ -19,10 +19,8 @@ from .engagement import (
     retrieval_return_curves,
 )
 from .performance import (
-    DeviceGap,
     WindowConcentration,
     chunk_transfer_times,
-    device_gap,
     estimate_sending_windows,
     idle_rto_ratios_from_logs,
     restart_fraction,
@@ -79,7 +77,6 @@ __all__ = [
     "BurstinessCurve",
     "ColumnarSessions",
     "DEFAULT_TAU",
-    "DeviceGap",
     "EngagementCurve",
     "FileSizeModelFit",
     "Finding",
@@ -105,7 +102,6 @@ __all__ = [
     "chunk_transfer_times",
     "classify_sessions",
     "classify_user",
-    "device_gap",
     "device_group_of",
     "engagement_curves",
     "estimate_sending_windows",

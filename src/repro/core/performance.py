@@ -21,7 +21,6 @@ from typing import Iterable
 import numpy as np
 
 from ..logs.schema import DeviceType, Direction, LogRecord
-from ..stats.distributions import Ecdf, ecdf
 from ..tcpsim.rto import paper_rto_estimate
 
 KB = 1024
@@ -44,38 +43,6 @@ def chunk_transfer_times(
         and not (exclude_proxied and r.proxied)
     ]
     return np.asarray(times, dtype=float)
-
-
-@dataclass(frozen=True)
-class DeviceGap:
-    """The Fig 12 comparison: chunk time distributions per device type."""
-
-    direction: Direction
-    android: Ecdf
-    ios: Ecdf
-
-    @property
-    def median_ratio(self) -> float:
-        """Android median over iOS median (paper: ~2.6x for uploads)."""
-        ios_median = self.ios.median
-        if ios_median <= 0:
-            raise ValueError("degenerate iOS distribution")
-        return self.android.median / ios_median
-
-
-def device_gap(
-    records: list[LogRecord], direction: Direction
-) -> DeviceGap:
-    """Build the Fig 12 CDF pair for one direction."""
-    android = chunk_transfer_times(
-        records, device_type=DeviceType.ANDROID, direction=direction
-    )
-    ios = chunk_transfer_times(
-        records, device_type=DeviceType.IOS, direction=direction
-    )
-    if android.size == 0 or ios.size == 0:
-        raise ValueError("need chunks from both device types")
-    return DeviceGap(direction=direction, android=ecdf(android), ios=ecdf(ios))
 
 
 def rtt_samples(

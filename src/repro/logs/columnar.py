@@ -73,11 +73,17 @@ KIND_CODE = {member: code for code, member in enumerate(REQUEST_KINDS)}
 DIRECTION_CODE = {member: code for code, member in enumerate(DIRECTIONS)}
 RESULT_CODE = {member: code for code, member in enumerate(RESULT_CODES)}
 
-#: The same tables keyed by ``id(member)`` (see :meth:`ColumnarTrace.from_records`).
-_DEVICE_CODE_BY_ID = {id(m): c for m, c in DEVICE_CODE.items()}
-_KIND_CODE_BY_ID = {id(m): c for m, c in KIND_CODE.items()}
-_DIRECTION_CODE_BY_ID = {id(m): c for m, c in DIRECTION_CODE.items()}
-_RESULT_CODE_BY_ID = {id(m): c for m, c in RESULT_CODE.items()}
+#: The same tables keyed by ``id(member)``, by column name: hashing an
+#: enum member is a Python-level call, ``id`` is not.
+CODE_BY_ID = {
+    name: {id(m): c for m, c in table.items()}
+    for name, table in (
+        ("device_type", DEVICE_CODE),
+        ("kind", KIND_CODE),
+        ("direction", DIRECTION_CODE),
+        ("result", RESULT_CODE),
+    )
+}
 
 #: Frequently tested codes, exported so analysis modules can build boolean
 #: masks without importing the code dicts.
@@ -88,30 +94,6 @@ STORE_CODE = DIRECTION_CODE[Direction.STORE]
 RETRIEVE_CODE = DIRECTION_CODE[Direction.RETRIEVE]
 OK_CODE = RESULT_CODE[ResultCode.OK]
 SHED_CODE = RESULT_CODE[ResultCode.SHED]
-
-#: Enum value -> code, keyed by the raw string (the bulk-parse lookup).
-#: Benchmarked against NumPy string-array comparisons: a plain dict list
-#: comprehension wins because building a ``U``-dtype array costs more
-#: than every lookup combined.
-DEVICE_CODE_BY_VALUE = {m.value: c for m, c in DEVICE_CODE.items()}
-KIND_CODE_BY_VALUE = {m.value: c for m, c in KIND_CODE.items()}
-DIRECTION_CODE_BY_VALUE = {m.value: c for m, c in DIRECTION_CODE.items()}
-RESULT_CODE_BY_VALUE = {m.value: c for m, c in RESULT_CODE.items()}
-#: The ``proxied`` column's text -> value: exactly what the writers emit.
-#: Both TSV readers decode through this table, so they accept and reject
-#: the same lines.
-PROXIED_BY_VALUE = {"0": False, "1": True}
-
-
-def _map_enum_values(
-    values: Sequence[str], by_value: dict, name: str
-) -> np.ndarray:
-    """Map the raw string column ``name`` to codes (an invalid value
-    raises, naming the column and the value)."""
-    try:
-        return np.asarray([by_value[v] for v in values], dtype=np.uint8)
-    except KeyError as exc:
-        raise ValueError(f"unknown {name} value: {exc.args[0]!r}") from None
 
 
 #: (column name, dtype) of every array column, in on-disk order.
@@ -141,57 +123,64 @@ Row = tuple[float, int, str, int, int, int, int, float, float, float, bool, int,
 
 
 #: ``(Row index, code table)`` of each enum field.
+#: Each table is a list: ``list.__getitem__`` is a C method, where a
+#: tuple's is a slot wrapper, twice as slow to call through ``map``.
 _CODE_TABLES = (
-    (1, DEVICE_TYPES),
-    (4, REQUEST_KINDS),
-    (5, DIRECTIONS),
-    (11, RESULT_CODES),
+    (1, list(DEVICE_TYPES)),
+    (4, list(REQUEST_KINDS)),
+    (5, list(DIRECTIONS)),
+    (11, list(RESULT_CODES)),
 )
 
 
-def record_from_row(row: Row) -> LogRecord:
-    """The :class:`LogRecord` a :data:`Row` stands for."""
-    return LogRecord(
-        row[0],
-        DEVICE_TYPES[row[1]],
-        row[2],
-        row[3],
-        REQUEST_KINDS[row[4]],
-        DIRECTIONS[row[5]],
-        row[6],
-        row[7],
-        row[8],
-        row[9],
-        row[10],
-        RESULT_CODES[row[11]],
-        row[12],
-    )
+def records_from_columns(columns: Sequence[Iterable]) -> Iterator[LogRecord]:
+    """The :class:`LogRecord` of each row of :data:`Row`-layout columns.
+
+    ``columns`` holds one iterable per field, in field order, with the enum
+    fields as code-table indices.  The enum codes are decoded column by
+    column, so each record is one ``LogRecord`` call on the columns'
+    values, with no per-row ``Row`` tuple or frame; a record's fields are
+    drawn from the columns together, as it is built.
+    """
+    columns = list(columns)
+    for index, table in _CODE_TABLES:
+        columns[index] = map(table.__getitem__, columns[index])
+    return map(LogRecord, *columns)
 
 
-def first_invalid_row(columns: dict[str, np.ndarray]) -> tuple[int, str] | None:
-    """``(row, message)`` of the first row :class:`LogRecord` rejects.
+def first_invalid_row(
+    columns: dict[str, np.ndarray],
+) -> tuple[int, str, str] | None:
+    """``(row, column, message)`` of the first row :class:`LogRecord` rejects.
 
     ``None`` when every row is valid.  The message is the one
-    :class:`LogRecord` raises; callers prefix the row's position.
+    :class:`LogRecord` raises and ``column`` the field it is about;
+    callers prefix the row's position.
     """
     volume = columns["volume"]
     carries_payload = volume != 0
     checks = (
-        (volume < 0, "volume must be >= 0"),
-        (columns["processing_time"] < 0, "processing_time must be >= 0"),
-        (columns["rtt"] < 0, "rtt must be >= 0"),
+        (volume < 0, "volume", "volume must be >= 0"),
+        (
+            columns["processing_time"] < 0,
+            "processing_time",
+            "processing_time must be >= 0",
+        ),
+        (columns["rtt"] < 0, "rtt", "rtt must be >= 0"),
         (
             carries_payload & (columns["kind"] == FILE_OP_CODE),
+            "volume",
             "file operations carry no payload",
         ),
         (
             carries_payload & (columns["result"] != OK_CODE),
+            "volume",
             "failed requests carry no payload",
         ),
     )
-    for bad, message in checks:
+    for bad, column, message in checks:
         if bad.any():
-            return int(np.argmax(bad)), message
+            return int(np.argmax(bad)), column, message
     return None
 
 
@@ -286,22 +275,22 @@ class ColumnarTrace:
         )
         invalid = first_invalid_row(columns)
         if invalid is not None:
-            raise ValueError("row %d: %s" % invalid)
+            row, _, message = invalid
+            raise ValueError(f"row {row}: {message}")
         return cls._from_columns(columns, device_pool=tuple(pool))
 
     @classmethod
     def from_records(cls, records: Iterable[LogRecord]) -> "ColumnarTrace":
         """Build a columnar trace from any record iterable, order-preserving.
 
-        Enum fields are encoded by member identity (the ``*_CODE_BY_ID``
-        tables): hashing an enum member is a Python-level call, ``id`` is
-        not.  A field holding a non-member raises the ``KeyError`` the
+        Enum fields are encoded by member identity (:data:`CODE_BY_ID`).
+        A field holding a non-member raises the ``KeyError`` the
         member-keyed tables raise for it.
         """
         if not isinstance(records, (list, tuple)):
             records = list(records)
-        device, kind = _DEVICE_CODE_BY_ID, _KIND_CODE_BY_ID
-        direction, result = _DIRECTION_CODE_BY_ID, _RESULT_CODE_BY_ID
+        device, kind = CODE_BY_ID["device_type"], CODE_BY_ID["kind"]
+        direction, result = CODE_BY_ID["direction"], CODE_BY_ID["result"]
         try:
             rows = [
                 (
@@ -330,61 +319,6 @@ class ColumnarTrace:
             raise
         return cls.from_rows(rows)
 
-    @classmethod
-    def from_string_columns(
-        cls,
-        *,
-        timestamp: Sequence[str] | np.ndarray,
-        device_type: Sequence[str],
-        device_id: Sequence[str],
-        user_id: Sequence[str] | np.ndarray,
-        kind: Sequence[str],
-        direction: Sequence[str],
-        volume: Sequence[str] | np.ndarray,
-        processing_time: Sequence[str] | np.ndarray,
-        server_time: Sequence[str] | np.ndarray,
-        rtt: Sequence[str] | np.ndarray,
-        proxied: Sequence[str],
-        result: Sequence[str],
-        session_id: Sequence[str] | np.ndarray,
-        device_pool: dict[str, int] | None = None,
-    ) -> "ColumnarTrace":
-        """Build one chunk from raw text columns (the bulk-parse fast path).
-
-        Numeric columns convert with one ``np.asarray`` call each; enum
-        columns map through their value tables.  ``device_pool`` lets the
-        caller thread one pool dict across chunks so codes stay global.
-        Record invariants are the caller's to check
-        (:func:`first_invalid_row`), so an error can name the row's
-        position in the file rather than in the chunk.
-        """
-        pool = device_pool if device_pool is not None else {}
-        columns = {
-            "timestamp": np.asarray(timestamp, dtype=np.float64),
-            "device_type": _map_enum_values(
-                device_type, DEVICE_CODE_BY_VALUE, "device_type"
-            ),
-            "device_code": np.asarray(
-                [pool.setdefault(d, len(pool)) for d in device_id],
-                dtype=np.int64,
-            ),
-            "user_id": np.asarray(user_id, dtype=np.int64),
-            "kind": _map_enum_values(kind, KIND_CODE_BY_VALUE, "kind"),
-            "direction": _map_enum_values(
-                direction, DIRECTION_CODE_BY_VALUE, "direction"
-            ),
-            "volume": np.asarray(volume, dtype=np.int64),
-            "processing_time": np.asarray(processing_time, dtype=np.float64),
-            "server_time": np.asarray(server_time, dtype=np.float64),
-            "rtt": np.asarray(rtt, dtype=np.float64),
-            "proxied": _map_enum_values(
-                proxied, PROXIED_BY_VALUE, "proxied"
-            ).astype(bool),
-            "result": _map_enum_values(result, RESULT_CODE_BY_VALUE, "result"),
-            "session_id": np.asarray(session_id, dtype=np.int64),
-        }
-        return cls._from_columns(columns, device_pool=tuple(pool))
-
     # ------------------------------------------------------------------
     # Basic protocol
     # ------------------------------------------------------------------
@@ -398,9 +332,7 @@ class ColumnarTrace:
 
     def record(self, i: int) -> LogRecord:
         """Materialize row ``i`` as a :class:`LogRecord`."""
-        row = [getattr(self, name)[i].item() for name, _ in COLUMNS]
-        row[2] = self.device_pool[row[2]]
-        return record_from_row(row)
+        return next(self.select([i]).iter_records())
 
     def __iter__(self) -> Iterator[LogRecord]:
         return self.iter_records()
@@ -408,13 +340,10 @@ class ColumnarTrace:
     def iter_records(self) -> Iterator[LogRecord]:
         """Yield rows as records one at a time (bounded memory)."""
         # .tolist() converts to native Python scalars in bulk, ~5x faster
-        # than per-element np indexing.  The device and enum codes are
-        # decoded column by column, so each record is one LogRecord call
-        # on the columns' values, with no per-row Row tuple or frame.
+        # than per-element np indexing.
         columns = [getattr(self, name).tolist() for name, _ in COLUMNS]
-        for index, table in ((2, self.device_pool),) + _CODE_TABLES:
-            columns[index] = list(map(table.__getitem__, columns[index]))
-        return map(LogRecord, *columns)
+        columns[2] = map(self.device_pool.__getitem__, columns[2])
+        return records_from_columns(columns)
 
     def to_records(self) -> list[LogRecord]:
         """Materialize the whole trace as a record list (row order kept)."""
@@ -611,7 +540,8 @@ class ColumnBuffer:
         if invalid is not None:
             # Drop the views: an array.array cannot grow while exported.
             del columns
-            raise ValueError("row %d: %s" % invalid)
+            row, _, message = invalid
+            raise ValueError(f"row {row}: {message}")
         pool = tuple(self._pool)
         self._reset()
         return ColumnarTrace._from_columns(columns, device_pool=pool)

@@ -76,10 +76,18 @@ class ResultCode(enum.Enum):
 
 #: Members the record predicates and checks compare against by identity:
 #: a module global is one dict lookup, an enum class attribute two.
+_ANDROID = DeviceType.ANDROID
+_IOS = DeviceType.IOS
 _PC = DeviceType.PC
 _FILE_OP = RequestKind.FILE_OP
 _CHUNK = RequestKind.CHUNK
+_STORE = Direction.STORE
+_RETRIEVE = Direction.RETRIEVE
 _OK = ResultCode.OK
+_SERVER_ERROR = ResultCode.SERVER_ERROR
+_UNAVAILABLE = ResultCode.UNAVAILABLE
+_TIMEOUT = ResultCode.TIMEOUT
+_SHED = ResultCode.SHED
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -195,15 +203,39 @@ class LogRecord:
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        device_type, kind = self.device_type, self.kind
+        direction, result = self.direction, self.result
+        if (
+            device_type is not _ANDROID
+            and device_type is not _IOS
+            and device_type is not _PC
+        ):
+            raise ValueError(
+                f"device_type must be a DeviceType, got {device_type!r}"
+            )
+        if kind is not _CHUNK and kind is not _FILE_OP:
+            raise ValueError(f"kind must be a RequestKind, got {kind!r}")
+        if direction is not _STORE and direction is not _RETRIEVE:
+            raise ValueError(
+                f"direction must be a Direction, got {direction!r}"
+            )
+        if (
+            result is not _OK
+            and result is not _SERVER_ERROR
+            and result is not _UNAVAILABLE
+            and result is not _TIMEOUT
+            and result is not _SHED
+        ):
+            raise ValueError(f"result must be a ResultCode, got {result!r}")
         if self.volume < 0:
             raise ValueError(f"volume must be >= 0, got {self.volume}")
         if self.processing_time < 0:
             raise ValueError("processing_time must be >= 0")
         if self.rtt < 0:
             raise ValueError("rtt must be >= 0")
-        if self.kind is _FILE_OP and self.volume:
+        if kind is _FILE_OP and self.volume:
             raise ValueError("file operations carry no payload")
-        if self.result is not _OK and self.volume:
+        if result is not _OK and self.volume:
             raise ValueError("failed requests carry no payload")
 
     @property
@@ -239,16 +271,6 @@ class LogRecord:
 _SLOT_SETTERS = tuple(
     getattr(LogRecord, f.name).__set__ for f in fields(LogRecord)
 )
-
-
-def iter_file_ops(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-    """Yield only file-operation records, preserving order."""
-    return (r for r in records if r.is_file_op)
-
-
-def iter_chunks(records: Iterable[LogRecord]) -> Iterator[LogRecord]:
-    """Yield only chunk records, preserving order."""
-    return (r for r in records if r.is_chunk)
 
 
 def iter_ok(records: Iterable[LogRecord]) -> Iterator[LogRecord]:

@@ -11,7 +11,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, TypeVar
 
 import numpy as np
 
@@ -165,22 +165,6 @@ def tally_by_user_columnar(trace: ColumnarTrace) -> dict[int, VolumeTally]:
     return {int(user): tally for user, tally in zip(users, tallies)}
 
 
-def tally_by_hour_columnar(
-    trace: ColumnarTrace, bin_seconds: float = 3600.0
-) -> dict[int, VolumeTally]:
-    """Vectorized :func:`tally_by_hour` over a columnar trace."""
-    if bin_seconds <= 0:
-        raise ValueError("bin_seconds must be positive")
-    if not len(trace):
-        return {}
-    # Same binning arithmetic as the record path: float floor-division,
-    # then int truncation.
-    bins = (trace.timestamp // bin_seconds).astype(np.int64)
-    uniq, group = np.unique(bins, return_inverse=True)
-    tallies = _tally_columns(trace, group, len(uniq))
-    return {int(b): tally for b, tally in zip(uniq, tallies)}
-
-
 @dataclass
 class UserDevices:
     """Which devices (and platforms) a user was seen on."""
@@ -323,20 +307,3 @@ class RunningStats:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-
-def iter_sorted_runs(
-    records: Iterable[LogRecord],
-) -> Iterator[list[LogRecord]]:
-    """Yield maximal runs of records that share a user, assuming the input
-    is already grouped by user (e.g. the output of a generator that emits
-    one user at a time).  Each run preserves input order.
-    """
-    run: list[LogRecord] = []
-    for record in records:
-        if run and record.user_id != run[-1].user_id:
-            yield run
-            run = []
-        run.append(record)
-    if run:
-        yield run

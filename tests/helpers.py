@@ -31,7 +31,9 @@ the per-failover zone scan :func:`scan_failover_shift` and the
 recomputed backoff :func:`computed_backoff_delay`).
 The autoscaler's are :func:`reference_reactive` and
 :func:`reference_predictive`, the closed-form provisioning loops the
-fault-free controller driver replaced.
+fault-free controller driver replaced.  The log readers' are
+:func:`oracle_read_tsv` and :func:`oracle_read_jsonl`, the line-at-a-time
+record readers the chunk decoders replaced.
 
 :func:`bench_replay_pass`, :func:`bench_paper_scale_digests` and
 :func:`bench_analyze_digest` mirror the benchmark workloads whose
@@ -43,6 +45,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -63,8 +66,15 @@ from repro.logs.columnar import (
     STORE_CODE,
     ColumnarTrace,
 )
-from repro.logs.io import open_reader, record_to_tsv, write_tsv
-from repro.logs.schema import CHUNK_SIZE, Direction, LogRecord, ResultCode
+from repro.logs.io import TSV_COLUMNS, open_reader, record_to_tsv, write_tsv
+from repro.logs.schema import (
+    CHUNK_SIZE,
+    DeviceType,
+    Direction,
+    LogRecord,
+    RequestKind,
+    ResultCode,
+)
 from repro.logs.summary import TraceSummary, summarize
 from repro.service.autoscaler import _servers_for, _servers_needed
 from repro.service.client import StorageClient
@@ -547,6 +557,114 @@ def bench_analyze_digest(seed: int = 1) -> str:
             ]
         ).encode()
     ).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# Log reader oracles: one record per line, parsed on its own
+# ----------------------------------------------------------------------
+
+_DEVICE_TYPES = {member.value: member for member in DeviceType}
+_KINDS = {member.value: member for member in RequestKind}
+_DIRECTIONS = {member.value: member for member in Direction}
+_RESULTS = {member.value: member for member in ResultCode}
+_PROXIED = {"0": False, "1": True}
+
+
+def oracle_parse_tsv_line(line: str, last: list) -> LogRecord:
+    """One TSV line's record, sharing objects with the previous line's.
+
+    ``last`` is ``[device_id, user_id text, user_id, rtt text, rtt,
+    session_id text, session_id]`` of the line parsed before with the
+    same list (``None`` before the first), updated in place.  A NaN
+    ``rtt`` is never shared.  Raises ``ValueError`` or ``KeyError`` on a
+    malformed line.
+    """
+    parts = line.rstrip("\r\n").split("\t")
+    if len(parts) == len(TSV_COLUMNS) - 1:
+        parts.insert(11, ResultCode.OK.value)
+    elif len(parts) != len(TSV_COLUMNS):
+        raise ValueError(f"expected {len(TSV_COLUMNS)} columns, got {len(parts)}")
+    device_id = parts[2]
+    if device_id == last[0]:
+        device_id = last[0]
+    else:
+        last[0] = device_id
+    text = parts[3]
+    if text == last[1]:
+        user_id = last[2]
+    else:
+        user_id = int(text)
+        last[1], last[2] = text, user_id
+    text = parts[9]
+    if text == last[3]:
+        rtt = last[4]
+    else:
+        rtt = float(text)
+        last[3], last[4] = (text, rtt) if rtt == rtt else (None, None)
+    text = parts[12]
+    if text == last[5]:
+        session_id = last[6]
+    else:
+        session_id = int(text)
+        last[5], last[6] = text, session_id
+    return LogRecord(
+        float(parts[0]),
+        _DEVICE_TYPES[parts[1]],
+        device_id,
+        user_id,
+        _KINDS[parts[4]],
+        _DIRECTIONS[parts[5]],
+        int(parts[6]),
+        float(parts[7]),
+        float(parts[8]),
+        rtt,
+        _PROXIED[parts[10]],
+        _RESULTS[parts[11]],
+        session_id,
+    )
+
+
+def oracle_read_tsv(path) -> list[LogRecord]:
+    """The records of a TSV file, one line at a time."""
+    last: list = [None] * 7
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            oracle_parse_tsv_line(line, last)
+            for line in fh
+            if line.strip() and not line.startswith("#")
+        ]
+
+
+def oracle_record_from_dict(data: dict) -> LogRecord:
+    """The record of one decoded JSONL object."""
+    proxied = data.get("proxied", False)
+    if proxied is not True and proxied is not False:
+        raise ValueError(f"unknown proxied value: {proxied!r}")
+    return LogRecord(
+        timestamp=float(data["timestamp"]),
+        device_type=_DEVICE_TYPES[data["device_type"]],
+        device_id=str(data["device_id"]),
+        user_id=int(data["user_id"]),
+        kind=_KINDS[data["kind"]],
+        direction=_DIRECTIONS[data["direction"]],
+        volume=int(data.get("volume", 0)),
+        processing_time=float(data.get("processing_time", 0.0)),
+        server_time=float(data.get("server_time", 0.0)),
+        rtt=float(data.get("rtt", 0.0)),
+        proxied=proxied,
+        result=_RESULTS[data.get("result", "ok")],
+        session_id=int(data.get("session_id", -1)),
+    )
+
+
+def oracle_read_jsonl(path) -> list[LogRecord]:
+    """The records of a JSONL file, one line at a time."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            oracle_record_from_dict(json.loads(line))
+            for line in fh
+            if line.strip() and not line.startswith("#")
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _fail_check_once(monkeypatch, on_call: int) -> None:
 
     def check(columns):
         if next(calls) == on_call:
-            return 0, "injected"
+            return 0, "volume", "injected"
         return real(columns)
 
     monkeypatch.setattr(columnar, "first_invalid_row", check)

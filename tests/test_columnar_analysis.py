@@ -25,8 +25,6 @@ from repro.logs.columnar import as_columnar
 from repro.logs.stream import (
     devices_by_user,
     devices_by_user_columnar,
-    tally_by_hour,
-    tally_by_hour_columnar,
     tally_by_user,
     tally_by_user_columnar,
 )
@@ -97,7 +95,6 @@ def test_classify_equivalent(records, trace):
 
 def test_tallies_equivalent(records, trace):
     assert tally_by_user_columnar(trace) == tally_by_user(records)
-    assert tally_by_hour_columnar(trace) == tally_by_hour(records)
 
 
 def test_devices_equivalent(records, trace):

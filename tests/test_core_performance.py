@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     chunk_transfer_times,
-    device_gap,
     estimate_sending_windows,
     idle_rto_ratios_from_logs,
     restart_fraction,
@@ -52,23 +51,6 @@ class TestTransferTimes:
     def test_proxied_included_on_request(self):
         records = [chunk(proxied=True)]
         assert chunk_transfer_times(records, exclude_proxied=False).size == 1
-
-
-class TestDeviceGap:
-    def test_median_ratio(self):
-        records = [
-            chunk(device=DeviceType.ANDROID, proc=4.1, tsrv=0.0)
-            for _ in range(10)
-        ] + [
-            chunk(device=DeviceType.IOS, proc=1.6, tsrv=0.0) for _ in range(10)
-        ]
-        gap = device_gap(records, Direction.STORE)
-        assert gap.median_ratio == pytest.approx(4.1 / 1.6)
-
-    def test_missing_device_rejected(self):
-        records = [chunk(device=DeviceType.ANDROID)]
-        with pytest.raises(ValueError):
-            device_gap(records, Direction.STORE)
 
 
 class TestRtt:

@@ -14,10 +14,13 @@ import repro.logs.schema as schema_mod
 from repro.logs.columnar import (
     CHUNK_CODE,
     COLUMNS,
+    DEVICE_TYPES,
+    DIRECTIONS,
     FILE_OP_CODE,
+    REQUEST_KINDS,
     RESULT_CODE,
+    RESULT_CODES,
     ColumnarTrace,
-    record_from_row,
 )
 from repro.logs.schema import LogRecord, ResultCode
 from repro.workload import GeneratorOptions, TraceGenerator
@@ -112,6 +115,14 @@ def _break(row, field, value):
     return row[:index] + (value,) + row[index + 1:]
 
 
+def _record(row):
+    """The :class:`LogRecord` of one row, its enum codes decoded."""
+    return LogRecord(
+        *row[:1], DEVICE_TYPES[row[1]], *row[2:4], REQUEST_KINDS[row[4]],
+        DIRECTIONS[row[5]], *row[6:11], RESULT_CODES[row[11]], row[12],
+    )
+
+
 def _first_of_kind(rows, kind_code):
     return next(row for row in rows if row[4] == kind_code)
 
@@ -147,7 +158,7 @@ MESSAGES = {
 def test_from_rows_rejects_what_log_record_rejects(valid_rows, case):
     bad_row = BREAKS[case](valid_rows)
     with pytest.raises(ValueError, match=MESSAGES[case]):
-        record_from_row(bad_row)
+        _record(bad_row)
     middle = len(valid_rows) // 2
     batch = valid_rows[:middle] + [bad_row] + valid_rows[middle:]
     with pytest.raises(ValueError, match=f"row {middle}: {MESSAGES[case]}"):
@@ -160,7 +171,7 @@ def test_failed_request_without_payload_is_valid(valid_rows):
         "result",
         RESULT_CODE[ResultCode.TIMEOUT],
     )
-    record_from_row(row)
+    _record(row)
     assert len(ColumnarTrace.from_rows(valid_rows + [row])) == len(valid_rows) + 1
 
 

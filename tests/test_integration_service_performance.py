@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    device_gap,
+    chunk_transfer_times,
     estimate_sending_windows,
     idle_rto_ratios_from_logs,
     window_concentration,
@@ -50,9 +50,13 @@ def test_swnd_estimates_cluster_at_server_window(cluster_log):
 
 
 def test_device_gap_visible_in_cluster_logs(cluster_log):
-    gap = device_gap(list(cluster_log), Direction.STORE)
+    android, ios = (
+        chunk_transfer_times(cluster_log, device_type=device, direction=Direction.STORE)
+        for device in (DeviceType.ANDROID, DeviceType.IOS)
+    )
     # Android's longer inter-chunk processing triggers restart penalties.
-    assert gap.median_ratio > 1.0
+    assert android.size and ios.size
+    assert np.median(android) > np.median(ios)
 
 
 def test_idle_ratios_computable_from_cluster_logs(cluster_log):

@@ -1,5 +1,6 @@
 """Tests for the struct-of-arrays trace (`repro.logs.columnar`)."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,6 +33,7 @@ from repro.logs.columnar import (
     KIND_CODE,
     RESULT_CODE,
 )
+import repro.logs.io as io_mod
 from repro.logs.io import TSV_COLUMNS
 from repro.workload.generator import GeneratorOptions, generate_trace
 
@@ -140,14 +142,15 @@ def test_from_records_matches_member_keyed_encoding(records):
 
 
 def test_from_records_rejects_a_non_member_like_the_member_tables():
-    record = LogRecord(
-        timestamp=1.0,
-        device_type="android",
-        device_id="d",
-        user_id=1,
-        kind=RequestKind.FILE_OP,
-        direction=Direction.STORE,
-    )
+    # The constructor rejects a non-member (test_logs_schema), so the
+    # record is built around it, field by field through the slots.
+    record = object.__new__(LogRecord)
+    for field, value in zip(
+        dataclasses.fields(LogRecord),
+        ("android" if f.name == "device_type" else getattr(SAMPLE[0], f.name)
+         for f in dataclasses.fields(LogRecord)),
+    ):
+        getattr(LogRecord, field.name).__set__(record, value)
     with pytest.raises(KeyError) as member_keyed:
         member_keyed_rows([record])
     with pytest.raises(KeyError) as ours:
@@ -271,14 +274,19 @@ def test_read_tsv_columnar_equals_record_reader(tmp_path, generated):
     assert read_tsv_columnar(path).to_records() == list(read_tsv(path))
 
 
-def test_read_tsv_columnar_chunked(tmp_path, generated):
+def test_read_tsv_columnar_chunked(tmp_path, generated, monkeypatch):
     """Tiny chunks exercise the multi-chunk concat + shared device pool."""
     from repro.logs import read_tsv
 
     path = tmp_path / "trace.tsv"
     write_tsv(generated, path)
-    trace = read_tsv_columnar(path, chunk_lines=97)
+    whole = read_tsv_columnar(path)
+    monkeypatch.setattr(io_mod, "CHUNK_LINES", 97)
+    trace = read_tsv_columnar(path)
     assert trace.to_records() == list(read_tsv(path))
+    assert trace.device_pool == whole.device_pool
+    for name, _ in COLUMNS:
+        assert getattr(trace, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_read_jsonl_columnar_equals_record_reader(tmp_path, generated):
@@ -340,7 +348,7 @@ def test_invalid_enum_value_raises(tmp_path):
         path.read_text().replace("\tios\t", "\tcommodore64\t")
     )
     with pytest.raises(
-        ValueError, match="unknown device_type value: 'commodore64'"
+        ValueError, match="^line 2, device_type: unknown value 'commodore64' in "
     ):
         read_tsv_columnar(path)
 
@@ -389,19 +397,27 @@ def test_bulk_readers_enforce_record_invariants(
     """A line the record reader rejects, the columnar reader rejects too."""
     path = tmp_path / f"bad{suffix}"
     write_lines(path, SAMPLE, row, field, value)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as records_error:
         list(open_reader(path))
-    with pytest.raises(ValueError, match=f"row {row}: {message}"):
+    with pytest.raises(ValueError, match=f"^line {row + 1}, {field}: {message} in "):
         read_columnar(path)
+    assert str(records_error.value) == str(read_error(read_columnar, path))
+
+
+def read_error(reader, path) -> ValueError:
+    with pytest.raises(ValueError) as error:
+        reader(path)
+    return error.value
 
 
 @pytest.mark.parametrize(
     "reader", [read_tsv_columnar, read_jsonl_columnar], ids=["tsv", "jsonl"]
 )
-def test_bulk_reader_error_names_the_file_row(tmp_path, reader):
-    """The reported row counts from the file's first record, not the chunk's."""
+def test_bulk_reader_error_names_the_file_row(tmp_path, reader, monkeypatch):
+    """The reported line counts from the file's first line, not the chunk's."""
     suffix = ".tsv" if reader is read_tsv_columnar else ".jsonl"
     path = tmp_path / f"bad{suffix}"
     write_lines(path, SAMPLE * 3, 7, "volume", -5)
-    with pytest.raises(ValueError, match="row 7: volume must be >= 0"):
-        reader(path, chunk_lines=2)
+    monkeypatch.setattr(io_mod, "CHUNK_LINES", 2)
+    with pytest.raises(ValueError, match="^line 8, volume: volume must be >= 0 in "):
+        reader(path)

@@ -1,6 +1,7 @@
 """Tests for log file I/O (TSV / JSONL, plain and gzipped)."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -290,10 +291,12 @@ def test_tsv_readers_agree_on_proxied(tmp_path, text):
         assert columnar.proxied.tolist() == [False, text == "1"]
         assert list(columnar.iter_records()) == records
         return
-    with pytest.raises(ValueError, match=f"proxied value {text!r}"):
+    message = f"line 2, proxied: unknown value {text!r} in "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}") as records_error:
         list(read_tsv(path))
-    with pytest.raises(ValueError, match=f"proxied value: {text!r}"):
+    with pytest.raises(ValueError) as columnar_error:
         read_tsv_columnar(path)
+    assert str(records_error.value) == str(columnar_error.value)
 
 
 #: One unknown value per enum column.
@@ -316,22 +319,22 @@ def test_bulk_readers_name_the_bad_enum_column(tmp_path, column, bad):
     tsv.write_text(head + "\n" + "\t".join(fields) + "\n")
     jsonl = tmp_path / "t.jsonl"
     jsonl.write_text(json.dumps({**row, column: bad}) + "\n")
-    message = f"unknown {column} value: {bad!r}"
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^line 2, {column}: unknown value {bad!r} in "):
         read_tsv_columnar(tsv)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^line 1, {column}: unknown value {bad!r} in "):
         read_jsonl_columnar(jsonl)
 
 
 @pytest.mark.parametrize("column, bad", _BAD_ENUM_VALUES)
 def test_jsonl_readers_give_one_enum_error(tmp_path, column, bad):
+    line = json.dumps({**record_to_dict(SAMPLE[0]), column: bad})
     path = tmp_path / "t.jsonl"
-    path.write_text(json.dumps({**record_to_dict(SAMPLE[0]), column: bad}) + "\n")
+    path.write_text(line + "\n")
     with pytest.raises(ValueError) as record_error:
         list(read_jsonl(path))
     with pytest.raises(ValueError) as columnar_error:
         read_jsonl_columnar(path)
-    message = f"unknown {column} value: {bad!r}"
+    message = f"line 1, {column}: unknown value {bad!r} in {line!r}"
     assert str(record_error.value) == str(columnar_error.value) == message
 
 
@@ -352,10 +355,10 @@ def _jsonl_with_proxied(path, value):
 @pytest.mark.parametrize("value", ["false", "true", 0, 1])
 def test_jsonl_readers_reject_non_boolean_proxied(tmp_path, value):
     path = _jsonl_with_proxied(tmp_path / "t.jsonl", value)
-    message = f"unknown proxied value: {value!r}"
-    with pytest.raises(ValueError, match=message):
+    message = re.escape(f"line 1, proxied: unknown value {value!r} in ")
+    with pytest.raises(ValueError, match=f"^{message}"):
         list(read_jsonl(path))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}"):
         read_jsonl_columnar(path)
 
 

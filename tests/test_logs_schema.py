@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import inspect
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,9 @@ from repro.logs import (
     LogRecord,
     RequestKind,
     ResultCode,
-    iter_chunks,
-    iter_file_ops,
 )
+from repro.logs.columnar import ColumnarTrace
+from repro.logs.io import write_tsv
 from tests.helpers import sort_by_time
 
 
@@ -37,6 +38,34 @@ def make_record(**overrides):
     )
     defaults.update(overrides)
     return LogRecord(**defaults)
+
+
+#: A non-member for each enum field: its value string, and another enum's
+#: member with the same value.
+NON_MEMBERS = [
+    ("device_type", "android"),
+    ("device_type", Direction.STORE),
+    ("kind", "chunk"),
+    ("kind", ResultCode.OK),
+    ("direction", "store"),
+    ("direction", RequestKind.CHUNK),
+    ("result", "ok"),
+    ("result", None),
+]
+
+
+@pytest.mark.parametrize(("field", "value"), NON_MEMBERS)
+@pytest.mark.parametrize("sink", ["constructor", "from_records", "write_tsv"])
+def test_enum_fields_reject_non_members(tmp_path, field, value, sink):
+    message = f"^{field} must be a .*, got {re.escape(repr(value))}$"
+    lazy = (make_record(**{field: value}) for _ in range(1))
+    with pytest.raises(ValueError, match=message):
+        if sink == "constructor":
+            next(lazy)
+        elif sink == "from_records":
+            ColumnarTrace.from_records(lazy)
+        else:
+            write_tsv(lazy, tmp_path / "t.tsv")
 
 
 def test_chunk_size_is_512_kib():
@@ -108,16 +137,6 @@ def test_sort_by_time_orders_by_timestamp_then_user():
     ordered = sort_by_time(records)
     assert [r.timestamp for r in ordered] == [1.0, 1.0, 2.0]
     assert [r.user_id for r in ordered] == [2, 9, 1]
-
-
-def test_iter_file_ops_and_chunks_partition():
-    records = [
-        make_record(kind=RequestKind.FILE_OP, volume=0),
-        make_record(kind=RequestKind.CHUNK),
-        make_record(kind=RequestKind.FILE_OP, volume=0),
-    ]
-    assert len(list(iter_file_ops(records))) == 2
-    assert len(list(iter_chunks(records))) == 1
 
 
 def test_session_id_excluded_from_equality():

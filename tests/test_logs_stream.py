@@ -14,7 +14,6 @@ from repro.logs import (
     VolumeTally,
     devices_by_user,
     group_by_user,
-    iter_sorted_runs,
     tally_by_hour,
     tally_by_user,
 )
@@ -110,13 +109,6 @@ def test_group_by_user_sorts_within_group():
     groups = group_by_user(records)
     assert [r.timestamp for r in groups[1]] == [1.0, 5.0]
     assert len(groups[2]) == 1
-
-
-def test_iter_sorted_runs_splits_on_user_change():
-    records = [chunk(user=1), chunk(user=1), chunk(user=2), chunk(user=1)]
-    runs = list(iter_sorted_runs(records))
-    assert [len(r) for r in runs] == [2, 1, 1]
-    assert [r[0].user_id for r in runs] == [1, 2, 1]
 
 
 class TestRunningStats:
