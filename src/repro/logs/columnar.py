@@ -122,30 +122,17 @@ COLUMNS: tuple[tuple[str, str], ...] = (
 Row = tuple[float, int, str, int, int, int, int, float, float, float, bool, int, int]
 
 
-#: ``(Row index, code table)`` of each enum field.
-#: Each table is a list: ``list.__getitem__`` is a C method, where a
-#: tuple's is a slot wrapper, twice as slow to call through ``map``.
-_CODE_TABLES = (
-    (1, list(DEVICE_TYPES)),
-    (4, list(REQUEST_KINDS)),
-    (5, list(DIRECTIONS)),
-    (11, list(RESULT_CODES)),
-)
-
-
-def records_from_columns(columns: Sequence[Iterable]) -> Iterator[LogRecord]:
-    """The :class:`LogRecord` of each row of :data:`Row`-layout columns.
-
-    ``columns`` holds one iterable per field, in field order, with the enum
-    fields as code-table indices.  The enum codes are decoded column by
-    column, so each record is one ``LogRecord`` call on the columns'
-    values, with no per-row ``Row`` tuple or frame; a record's fields are
-    drawn from the columns together, as it is built.
-    """
-    columns = list(columns)
-    for index, table in _CODE_TABLES:
-        columns[index] = map(table.__getitem__, columns[index])
-    return map(LogRecord, *columns)
+#: Each enum column's code table as an object array: indexing it with the
+#: column's codes decodes the whole column in one C loop.
+_MEMBER_ARRAYS = {
+    name: np.array(table, dtype=object)
+    for name, table in (
+        ("device_type", DEVICE_TYPES),
+        ("kind", REQUEST_KINDS),
+        ("direction", DIRECTIONS),
+        ("result", RESULT_CODES),
+    )
+}
 
 
 def first_invalid_row(
@@ -340,10 +327,18 @@ class ColumnarTrace:
     def iter_records(self) -> Iterator[LogRecord]:
         """Yield rows as records one at a time (bounded memory)."""
         # .tolist() converts to native Python scalars in bulk, ~5x faster
-        # than per-element np indexing.
-        columns = [getattr(self, name).tolist() for name, _ in COLUMNS]
+        # than per-element np indexing; each record is one ``LogRecord``
+        # call on the columns' values, with no per-row tuple or frame.
+        columns = [
+            (
+                _MEMBER_ARRAYS[name][getattr(self, name)]
+                if name in _MEMBER_ARRAYS
+                else getattr(self, name)
+            ).tolist()
+            for name, _ in COLUMNS
+        ]
         columns[2] = map(self.device_pool.__getitem__, columns[2])
-        return records_from_columns(columns)
+        return map(LogRecord, *columns)
 
     def to_records(self) -> list[LogRecord]:
         """Materialize the whole trace as a record list (row order kept)."""

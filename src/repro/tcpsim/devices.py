@@ -155,11 +155,18 @@ class ServerProfile:
 DEFAULT_SERVER = ServerProfile()
 
 
+#: The built-in profile of each device type, keyed by the member's ``id``:
+#: ``Enum.__hash__`` runs in Python, an identity key does not, and the
+#: members live as long as the module, so no other object shares an id.
+_PROFILES = {id(profile.device_type): profile for profile in (ANDROID, IOS, PC)}
+
+
 def profile_for(device_type: DeviceType) -> DeviceProfile:
-    """Look up the built-in profile for a device type."""
-    profiles = {
-        DeviceType.ANDROID: ANDROID,
-        DeviceType.IOS: IOS,
-        DeviceType.PC: PC,
-    }
-    return profiles[device_type]
+    """Look up the built-in profile for a device type.
+
+    Raises :class:`KeyError` for anything but a :class:`DeviceType` member.
+    """
+    try:
+        return _PROFILES[id(device_type)]
+    except KeyError:
+        raise KeyError(device_type) from None

@@ -7,14 +7,19 @@ beginning (the paper's burstiness), followed by the chunk requests that
 move the data; chunk timing priced by the closed-form TCP transfer model
 with slow-start-restart penalties.
 
-:meth:`TraceGenerator.generate_user_rows` is the one emission routine.  It
-returns plain tuples in :class:`~repro.logs.schema.LogRecord` field order,
-with the enum fields stored as their :mod:`repro.logs.columnar` code-table
-indices, which :meth:`~repro.logs.columnar.ColumnarTrace.from_rows` turns
-into columns without building a per-record object.
-:meth:`TraceGenerator.generate_user` is the record view of the same rows.
+:meth:`TraceGenerator._emit_user` is the one emission routine.  It appends
+a user's rows as *column runs*: per row, the four fields that vary
+(``timestamp``, ``volume``, ``processing_time``, ``server_time``); per run
+(a session's file operations in one direction, or one file's chunks) the
+run's length and the nine fields constant over it, as one tuple shared by
+the session's chunk runs in that direction.
+:meth:`TraceGenerator.column_batches` turns the runs of whole users into
+:class:`~repro.logs.columnar.ColumnarTrace` batches with ``np.repeat`` and
+one stable sort, without a per-row tuple or object;
+:meth:`TraceGenerator.generate` and :meth:`TraceGenerator.generate_user`
+are record views of those batches.
 
-The generator is streaming — it yields records user by user — and every
+The generator is streaming (it holds at most a batch of rows) and every
 record carries a ground-truth ``session_id`` that the analysis pipeline
 ignores but tests use to score the recovered sessionization.
 
@@ -27,14 +32,15 @@ relies on this contract to shard generation across processes.
 
 Draws go through :mod:`repro.workload.sampling` where a scalar NumPy call
 would cost more than the sample: runs of same-distribution draws become one
-array draw, uniforms one ``rng.random()``, categorical choices a cached
-CDF.  A file's chunks draw their alternating Tsrv/Tclt lognormals as one
-``standard_normal(2n)`` inside the session's emission loop.  The rule for
-every such rewrite: a batched draw must consume the stream exactly as the
-scalar draws it replaces, value for value, so the trace stays
-bit-identical.  The golden fixtures (``tests/data/``),
-``tests/test_rng_equivalence.py`` and the per-file emission oracle in
-``tests/test_analysis_fast_paths.py`` are the guard.
+array draw, uniforms the top bits of one ``random_raw()``, categorical
+choices a cached CDF.  A file's chunks draw their alternating Tsrv/Tclt
+lognormals as one ``standard_normal(2n)`` inside the session's emission
+loop.  The rule for every such rewrite: a batched draw must consume the
+stream exactly as the scalar draws it replaces, value for value, so the
+trace stays bit-identical.  The golden fixtures (``tests/data/``),
+``tests/test_rng_equivalence.py`` and the row-emission oracles in
+``tests/helpers.py`` (compared with in ``tests/test_generator_rows.py``
+and ``tests/test_analysis_fast_paths.py``) are the guard.
 """
 
 from __future__ import annotations
@@ -42,22 +48,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from ..logs.columnar import (
     CHUNK_CODE,
     DEVICE_CODE,
-    DEVICE_TYPES,
-    DIRECTIONS,
     FILE_OP_CODE,
     OK_CODE,
-    REQUEST_KINDS,
-    RESULT_CODES,
     RETRIEVE_CODE,
     STORE_CODE,
-    Row,
+    ColumnarTrace,
+    first_invalid_row,
 )
 from ..logs.schema import CHUNK_SIZE, DeviceType, Direction, LogRecord
 from ..service.frontend import TransferModel
@@ -65,8 +68,8 @@ from ..tcpsim.devices import DEFAULT_SERVER, ServerProfile, profile_for
 from ..tcpsim.rto import paper_rto_estimate
 from .config import UserType, WorkloadConfig
 from .diurnal import SECONDS_PER_DAY, DiurnalSampler
-from .population import UserSpec, build_population
-from .sampling import pow10_normals, uniform
+from .population import DeviceSpec, UserSpec, build_population
+from .sampling import pow10_normals, raw_uniform
 from .sessions import SessionClass, SessionPlan, SessionPlanner
 
 #: Session ids are namespaced per user: user ``u``'s ``k``-th session gets
@@ -76,7 +79,113 @@ from .sessions import SessionClass, SessionPlan, SessionPlanner
 #: order (or process) users are generated in.
 SESSION_ID_STRIDE = 1 << 16
 
-_by_timestamp = itemgetter(0)
+#: Rows the record view decodes at a time (:meth:`TraceGenerator.generate`).
+_RECORD_BATCH_ROWS = 4096
+
+#: The columns that vary within a run, besides ``timestamp``.
+_ROW_COLUMNS = (
+    ("volume", np.int64),
+    ("processing_time", np.float64),
+    ("server_time", np.float64),
+)
+
+#: The columns constant over a run, in the order of a run's field tuple;
+#: ``device_code`` holds the device-id string until the runs are taken.
+_RUN_COLUMNS = (
+    ("device_type", np.uint8),
+    ("device_code", np.int64),
+    ("user_id", np.int64),
+    ("kind", np.uint8),
+    ("direction", np.uint8),
+    ("rtt", np.float64),
+    ("proxied", np.bool_),
+    ("result", np.uint8),
+    ("session_id", np.int64),
+)
+_USER_ID_FIELD = [name for name, _ in _RUN_COLUMNS].index("user_id")
+
+
+class _ColumnRuns:
+    """Emitted rows as column runs, turned into columns once per batch.
+
+    ``timestamp``, ``volume``, ``processing_time`` and ``server_time``
+    hold one value per row.  ``lengths`` and ``run_fields`` hold one entry
+    per run of consecutive rows: its length, and the index in ``fields``
+    of the tuple of its other nine fields (:data:`_RUN_COLUMNS` order),
+    which all the chunk runs of a session and direction share.
+    """
+
+    def __init__(self) -> None:
+        self.timestamp: list[float] = []
+        self.volume: list[int] = []
+        self.processing_time: list[float] = []
+        self.server_time: list[float] = []
+        self.lengths: list[int] = []
+        self.run_fields: list[int] = []
+        self.fields: list[tuple] = []
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def take(self) -> ColumnarTrace:
+        """The rows as a trace stably sorted by ``(user_id, timestamp)``.
+
+        One stable ``np.lexsort`` orders the rows, so rows with equal keys
+        keep their emission order; each run column is then gathered from
+        the field tuples through the sorted rows' tuple index, and device
+        ids are pooled in order of first appearance in the sorted rows.
+        The runs restart empty.
+
+        Raises
+        ------
+        ValueError
+            If any row breaks a :class:`LogRecord` invariant.
+        """
+        n_rows = len(self.timestamp)
+        n_runs = len(self.lengths)
+        fields = self.fields
+        n_fields = len(fields)
+        fields_of_row = np.repeat(
+            np.fromiter(self.run_fields, dtype=np.int64, count=n_runs),
+            np.fromiter(self.lengths, dtype=np.int64, count=n_runs),
+        )
+        user_id = np.fromiter(
+            map(itemgetter(_USER_ID_FIELD), fields), dtype=np.int64, count=n_fields
+        )
+        timestamp = np.fromiter(self.timestamp, dtype=np.float64, count=n_rows)
+        order = np.lexsort((timestamp, user_id[fields_of_row]))
+        fields_of_row = fields_of_row[order]
+        columns = {"timestamp": timestamp[order]}
+        for name, dtype in _ROW_COLUMNS:
+            columns[name] = np.fromiter(
+                getattr(self, name), dtype=dtype, count=n_rows
+            )[order]
+        pool: dict[str, int] = {}
+        for index, (name, dtype) in enumerate(_RUN_COLUMNS):
+            if name == "user_id":
+                values = user_id
+            else:
+                values = map(itemgetter(index), fields)
+                if name == "device_code":
+                    values = (pool.setdefault(d, len(pool)) for d in values)
+                values = np.fromiter(values, dtype=dtype, count=n_fields)
+            columns[name] = values[fields_of_row]
+        self.__init__()
+        # Every pooled id has rows; renumber the ids by their first row.
+        codes = columns["device_code"]
+        by_first_row = np.argsort(np.unique(codes, return_index=True)[1])
+        renumber = np.empty(len(pool), dtype=np.int64)
+        renumber[by_first_row] = np.arange(len(pool))
+        columns["device_code"] = renumber[codes]
+        device_ids = list(pool)
+        invalid = first_invalid_row(columns)
+        if invalid is not None:
+            row, _, message = invalid
+            raise ValueError(f"row {row}: {message}")
+        return ColumnarTrace(
+            device_pool=tuple(device_ids[code] for code in by_first_row.tolist()),
+            **columns,
+        )
 
 
 def user_rng(master_seed: int, user_id: int) -> np.random.Generator:
@@ -185,74 +294,42 @@ class TraceGenerator:
     # ------------------------------------------------------------------
 
     def generate(self) -> Iterator[LogRecord]:
-        """Yield the full trace, grouped by user, time-ordered per user."""
-        for user in self.population:
-            yield from self.generate_user(user)
+        """Yield the full trace, grouped by user, time-ordered per user.
+
+        The record view of :meth:`column_batches`: a few thousand rows are
+        decoded at a time (:meth:`ColumnarTrace.iter_records`).
+        """
+        for batch in self.column_batches(self.population, _RECORD_BATCH_ROWS):
+            yield from batch.iter_records()
 
     def generate_user(self, user: UserSpec) -> Iterator[LogRecord]:
-        """Yield one user's records in timestamp order.
+        """Yield one user's records in timestamp order."""
+        runs = _ColumnRuns()
+        self._emit_user(user, runs)
+        return runs.take().iter_records()
 
-        The record view of :meth:`generate_user_rows`: each row's enum codes
-        index the code tables, as in :meth:`ColumnarTrace.iter_records`.
-        One generator expression builds the records lazily, with no frame
-        per row and no list of records.
+    def column_batches(
+        self, users: Iterable[UserSpec], max_rows: int
+    ) -> Iterator[ColumnarTrace]:
+        """The users' rows as traces of whole users, in the users' order.
+
+        Each batch is ``(user_id, timestamp)``-sorted, each user's rows in
+        timestamp order (ties in emission order).  A batch ends after the
+        user that brings it to ``max_rows`` (>= 1) rows, or before a user
+        whose id does not exceed the previous user's, so the sort never
+        moves a user.
         """
-        return (
-            LogRecord(
-                t, DEVICE_TYPES[device_type], device_id, user_id,
-                REQUEST_KINDS[kind], DIRECTIONS[direction], volume,
-                processing_time, server_time, rtt, proxied,
-                RESULT_CODES[result], session_id,
-            )
-            for (
-                t, device_type, device_id, user_id, kind, direction, volume,
-                processing_time, server_time, rtt, proxied, result, session_id,
-            ) in self.generate_user_rows(user)
-        )
-
-    def generate_user_rows(self, user: UserSpec) -> list[Row]:
-        """One user's rows (:data:`~repro.logs.columnar.Row`), time-sorted.
-
-        Depends only on ``(self.seed, user)`` — no generator state survives
-        between users — so any subset of the population can be generated in
-        any order (or in another process) with bit-identical output.
-        """
-        rng = user_rng(self.seed, user.user_id)
-        rows: list[Row] = []
-        store_left = user.store_files
-        retrieve_left = user.retrieve_files
-
-        plans = self._plan_days(user, store_left, retrieve_left, rng)
-        used_platforms: set[bool] = set()  # True = PC
-        session_index = 0
-        for day, day_plans in plans:
-            # Days with several sessions start early enough that the chain
-            # stays within the day (a midnight spill would register as a
-            # spurious "return" in the engagement analyses), with gaps
-            # comfortably above the one-hour session threshold.
-            n_plans = len(day_plans)
-            gap_hi = min(4.5, max(2.0, 14.0 / max(1, n_plans - 1)))
-            base = self._diurnal.sample_timestamp(day, rng)
-            latest_start = (
-                (day + 1) * SECONDS_PER_DAY
-                - (n_plans - 1) * gap_hi * 3600.0
-                - 1800.0
-            )
-            base = max(day * SECONDS_PER_DAY, min(base, latest_start))
-            for plan in day_plans:
-                device = self._pick_device(
-                    user, plan, rng, session_index, used_platforms
-                )
-                used_platforms.add(device.device_type is DeviceType.PC)
-                session_index += 1
-                session_id = user.user_id * SESSION_ID_STRIDE + session_index
-                self._emit_session(
-                    rows, user, device.device_id, device.device_type, plan,
-                    base, session_id, rng,
-                )
-                base += uniform(rng, 0.5 * gap_hi, gap_hi) * 3600.0
-        rows.sort(key=_by_timestamp)
-        return rows
+        runs = _ColumnRuns()
+        last_user_id = None
+        for user in users:
+            if len(runs) and user.user_id <= last_user_id:
+                yield runs.take()
+            self._emit_user(user, runs)
+            last_user_id = user.user_id
+            if len(runs) >= max_rows:
+                yield runs.take()
+        if len(runs):
+            yield runs.take()
 
     # ------------------------------------------------------------------
     # Planning
@@ -393,36 +470,88 @@ class TraceGenerator:
     # Emission
     # ------------------------------------------------------------------
 
+    def _emit_user(self, user: UserSpec, runs: _ColumnRuns) -> None:
+        """Append one user's rows to ``runs``, session by session.
+
+        Depends only on ``(self.seed, user)`` -- no generator state
+        survives between users -- so any subset of the population can be
+        emitted in any order (or in another process) with bit-identical
+        rows.  The link constants the chunk timing needs are computed once
+        per user.
+        """
+        rng = user_rng(self.seed, user.user_id)
+        random_raw = rng.bit_generator.random_raw
+        plans = self._plan_days(user, user.store_files, user.retrieve_files, rng)
+        link = None
+        if self.options.emit_chunks and not user.dedup_only:
+            rtt = user.rtt
+            link = (
+                paper_rto_estimate(rtt),
+                self._transfer.restart_penalty_rtts * rtt,
+                self._transfer.rate(rtt, user.bandwidth, Direction.STORE),
+                self._transfer.rate(
+                    rtt,
+                    user.bandwidth * self.config.network.downlink_factor,
+                    Direction.RETRIEVE,
+                ),
+            )
+        used_platforms: set[bool] = set()  # True = PC
+        session_index = 0
+        for day, day_plans in plans:
+            # Days with several sessions start early enough that the chain
+            # stays within the day (a midnight spill would register as a
+            # spurious "return" in the engagement analyses), with gaps
+            # comfortably above the one-hour session threshold.
+            n_plans = len(day_plans)
+            gap_hi = min(4.5, max(2.0, 14.0 / max(1, n_plans - 1)))
+            base = self._diurnal.sample_timestamp(day, rng)
+            latest_start = (
+                (day + 1) * SECONDS_PER_DAY
+                - (n_plans - 1) * gap_hi * 3600.0
+                - 1800.0
+            )
+            base = max(day * SECONDS_PER_DAY, min(base, latest_start))
+            for plan in day_plans:
+                device = self._pick_device(
+                    user, plan, rng, session_index, used_platforms
+                )
+                used_platforms.add(device.device_type is DeviceType.PC)
+                session_index += 1
+                self._emit_session(
+                    runs, user, link, device, plan, base,
+                    user.user_id * SESSION_ID_STRIDE + session_index,
+                    rng, random_raw,
+                )
+                base += raw_uniform(random_raw, 0.5 * gap_hi, gap_hi) * 3600.0
+
     def _emit_session(
         self,
-        rows: list[Row],
+        runs: _ColumnRuns,
         user: UserSpec,
-        device_id: str,
-        device_type: DeviceType,
+        link: tuple[float, float, float, float] | None,
+        device: DeviceSpec,
         plan: SessionPlan,
         start: float,
         session_id: int,
         rng: np.random.Generator,
+        random_raw,
     ) -> None:
-        """Append one session to ``rows``: bursty file operations, then
-        the chunk streams that move the files.
+        """Append one session's runs: bursty file operations (a run per
+        direction), then the chunk streams that move the files (a run per
+        file).
 
-        Rows are appended in emission order; the caller's one stable sort
-        by timestamp orders them (a per-session sort before it would give
-        the same order).
-
-        Each file's chunk rows come from one loop over its chunks, with
-        the session's constants (RTO, restart penalty, Tsrv parameters)
-        and each direction's (transfer rate, Tclt parameters) computed
-        once.  The draws per file are one ``random()`` (the queueing
-        jitter) then one ``standard_normal(2n)`` (the chunks' alternating
-        Tsrv, Tclt), so the stream is consumed exactly as by drawing each
-        file's chunks separately.
+        ``link`` is the user's ``(rto, restart_penalty, store_rate,
+        retrieve_rate)``, ``None`` when no chunks are emitted.  The draws
+        per file are one ``random_raw()`` (the queueing jitter) then one
+        ``standard_normal(2n)`` (the chunks' alternating Tsrv, Tclt), so
+        the stream is consumed exactly as by drawing each file's chunks
+        separately.
         """
         intervals = self.config.intervals
         store_sizes = plan.store_sizes
         retrieve_sizes = plan.retrieve_sizes
-        n_ops = len(store_sizes) + len(retrieve_sizes)
+        n_store = len(store_sizes)
+        n_ops = n_store + len(retrieve_sizes)
 
         # Large sessions are always app-batched (multi-select backup);
         # smaller multi-op sessions are batched with probability
@@ -438,64 +567,81 @@ class TraceGenerator:
         op_times = [start]
         for gap in pow10_normals(rng, mean_log10, std_log10, n_ops - 1):
             op_times.append(op_times[-1] + gap)
+        tsrv_meta = float(self._server.tsrv.sample(rng)) * 0.2
+        if not n_ops:
+            return
 
+        device_type = device.device_type
         device_code = DEVICE_CODE[device_type]
+        device_id = device.device_id
         user_id = user.user_id
         rtt = user.rtt
         proxied = user.proxied
-        tsrv_meta = float(self._server.tsrv.sample(rng)) * 0.2
-        op_codes = [STORE_CODE] * len(store_sizes) + [RETRIEVE_CODE] * len(
-            retrieve_sizes
-        )
-        for when, direction_code in zip(op_times, op_codes):
-            rows.append((
-                when, device_code, device_id, user_id, FILE_OP_CODE,
-                direction_code, 0, tsrv_meta, tsrv_meta, rtt, proxied,
-                OK_CODE, session_id,
-            ))
-
-        if not n_ops or not self.options.emit_chunks or user.dedup_only:
+        fields = runs.fields
+        for direction_code, n_direction in (
+            (STORE_CODE, n_store),
+            (RETRIEVE_CODE, n_ops - n_store),
+        ):
+            if n_direction:
+                runs.lengths.append(n_direction)
+                runs.run_fields.append(len(fields))
+                fields.append((
+                    device_code, device_id, user_id, FILE_OP_CODE,
+                    direction_code, rtt, proxied, OK_CODE, session_id,
+                ))
+        runs.timestamp.extend(op_times)
+        runs.volume.extend([0] * n_ops)
+        runs.processing_time.extend([tsrv_meta] * n_ops)
+        runs.server_time.extend([tsrv_meta] * n_ops)
+        if link is None:
             return
+
         # Transfers share the device's link: each file's chunk stream
         # starts once the previous file finished (the app's transfer
         # queue), which is what stretches sessions far beyond the
         # operating time and produces the Fig 4 burstiness.
+        rto, restart_penalty, store_rate, retrieve_rate = link
         max_chunks = self.options.max_chunks_per_file
         profile = profile_for(device_type)
-        rto = paper_rto_estimate(rtt)
-        restart_penalty = self._transfer.restart_penalty_rtts * rtt
         tsrv_mu, tsrv_sigma = self._server.tsrv.mu, self._server.tsrv.sigma
         exp = math.exp
+        ceil = math.ceil
+        standard_normal = rng.standard_normal
+        add_timestamp = runs.timestamp.append
+        add_volume = runs.volume.append
+        add_processing_time = runs.processing_time.append
+        add_server_time = runs.server_time.append
+        add_length = runs.lengths.append
+        add_run = runs.run_fields.append
         op_index = 0
         transfer_clock = 0.0
-        for direction, sizes in (
-            (Direction.STORE, store_sizes),
-            (Direction.RETRIEVE, retrieve_sizes),
-        ):
+        for is_store, sizes in ((True, store_sizes), (False, retrieve_sizes)):
             if not sizes:
                 continue
-            is_store = direction is Direction.STORE
-            direction_code = STORE_CODE if is_store else RETRIEVE_CODE
-            bandwidth = user.bandwidth * (
-                1.0 if is_store else self.config.network.downlink_factor
-            )
-            rate = self._transfer.rate(rtt, bandwidth, direction)
-            tclt = profile.tclt(is_store)
-            tclt_mu, tclt_sigma = tclt.mu, tclt.sigma
+            rate = store_rate if is_store else retrieve_rate
+            tclt_dist = profile.tclt(is_store)
+            tclt_mu, tclt_sigma = tclt_dist.mu, tclt_dist.sigma
+            run = len(fields)
+            fields.append((
+                device_code, device_id, user_id, CHUNK_CODE,
+                STORE_CODE if is_store else RETRIEVE_CODE,
+                rtt, proxied, OK_CODE, session_id,
+            ))
             for size in sizes:
                 clock = max(
-                    op_times[op_index] + uniform(rng, 0.05, 0.3), transfer_clock
+                    op_times[op_index] + raw_uniform(random_raw, 0.05, 0.3),
+                    transfer_clock,
                 )
                 op_index += 1
                 # Capped record count; volumes sum to the exact file size.
                 # Planned files hold at least one byte
                 # (:func:`~repro.workload.sessions.spread_file_sizes`), so
                 # every chunk moves a payload and ttran is volume / rate.
-                n_records = min(
-                    max(1, math.ceil(size / CHUNK_SIZE)), max_chunks
-                )
+                n_records = min(max(1, ceil(size / CHUNK_SIZE)), max_chunks)
                 base_volume, remainder = divmod(size, n_records)
-                z = rng.standard_normal(2 * n_records).tolist()
+                z = standard_normal(2 * n_records).tolist()
+                add_length(n_records)
+                add_run(run)
                 idle = 0.0  # below the RTO: a file's first chunk never restarts
                 for index in range(n_records):
                     volume = base_volume + 1 if index < remainder else base_volume
@@ -504,11 +650,10 @@ class TraceGenerator:
                     if idle > rto:
                         ttran += restart_penalty
                     tchunk = ttran + tsrv
-                    rows.append((
-                        clock, device_code, device_id, user_id, CHUNK_CODE,
-                        direction_code, volume, tchunk, tsrv, rtt, proxied,
-                        OK_CODE, session_id,
-                    ))
+                    add_timestamp(clock)
+                    add_volume(volume)
+                    add_processing_time(tchunk)
+                    add_server_time(tsrv)
                     tclt = exp(tclt_mu + tclt_sigma * z[2 * index + 1])
                     clock += tchunk + tclt
                     idle = tsrv + tclt

@@ -48,7 +48,6 @@ from typing import Iterator, Sequence
 from ..logs.columnar import (
     DEFAULT_MERGE_BLOCK_ROWS,
     ColumnarTrace,
-    Row,
     merge_columnar_sorted,
 )
 from ..logs.parts import ColumnarPartWriter, read_columnar_part
@@ -140,12 +139,13 @@ class ColumnarShardPart:
 def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     """Worker: stream one shard straight to a columnar part directory.
 
-    Users are generated in ascending ``user_id`` order (each user's
-    records already time-sorted), so the part is ``(user_id, timestamp)``-
-    sorted on disk without any shard-wide sort or materialization: at
-    most ``task.batch_records`` rows exist at a time, whatever the
-    shard size, and no :class:`LogRecord` is built.  Only the part
-    *path* crosses back to the parent.
+    Users are generated in ascending ``user_id`` order and each batch of
+    whole users is ``(user_id, timestamp)``-sorted
+    (:meth:`TraceGenerator.column_batches`), so the part is sorted on disk
+    without any shard-wide sort or materialization: a batch holds about
+    ``task.batch_records`` rows (it ends with the user that reaches
+    them), whatever the shard size, and no :class:`LogRecord` is built.
+    Only the part *path* crosses back to the parent.
     """
     generator = TraceGenerator(
         task.n_mobile_users,
@@ -163,16 +163,9 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     # The population is built in ascending user_id order already; sorting
     # makes the part's sort invariant locally evident (and is a no-op).
     users.sort(key=lambda user: user.user_id)
-    batch_records = max(1, task.batch_records)
     with ColumnarPartWriter(task.path) as writer:
-        buffer: list[Row] = []
-        for user in users:
-            buffer.extend(generator.generate_user_rows(user))
-            if len(buffer) >= batch_records:
-                writer.append(ColumnarTrace.from_rows(buffer))
-                buffer.clear()
-        if buffer:
-            writer.append(ColumnarTrace.from_rows(buffer))
+        for batch in generator.column_batches(users, max(1, task.batch_records)):
+            writer.append(batch)
         n_records = writer.n_rows
     return ColumnarShardPart(
         shard_index=task.shard_index,

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import MB, FileSizeModel, SessionMixModel
-from .sampling import categorical
+from .sampling import categorical, pairwise_sum
 
 
 class SessionClass(enum.Enum):
@@ -110,6 +110,13 @@ def spread_file_sizes(
     size, so we preserve that average exactly while letting individual
     files within the session vary (a photo burst is homogeneous; a mixed
     folder less so).
+
+    One ``rng.lognormal(0, spread_sigma, size=n_files)`` draw, then the
+    arithmetic on Python floats: the mean is NumPy's pairwise sum over
+    ``n_files`` (:func:`~repro.workload.sampling.pairwise_sum`), rounding
+    is half to even as ``np.round``, and the drift lands on the first
+    largest size as ``np.argmax`` picks it, so the sizes are those of the
+    array version value for value, without its small-array calls.
     """
     if n_files < 1:
         raise ValueError("n_files must be >= 1")
@@ -117,18 +124,18 @@ def spread_file_sizes(
         raise ValueError("average size must be at least one byte per file")
     if n_files == 1:
         return (average,)
-    jitter = rng.lognormal(0.0, spread_sigma, size=n_files)
-    jitter /= jitter.mean()
-    sizes = np.maximum(1, np.round(jitter * average)).astype(np.int64)
+    jitter = rng.lognormal(0.0, spread_sigma, size=n_files).tolist()
+    mean = pairwise_sum(jitter) / n_files
+    sizes = [max(1, round(value / mean * average)) for value in jitter]
     # Fix rounding drift so the session average stays exact.
-    drift = int(average) * n_files - int(sizes.sum())
-    sizes[int(np.argmax(sizes))] += drift
-    if sizes.min() < 1:
+    sizes[sizes.index(max(sizes))] += average * n_files - sum(sizes)
+    smallest = min(sizes)
+    if smallest < 1:
         # Pathological drift correction; redistribute from the largest.
-        deficit = 1 - int(sizes.min())
-        sizes[int(np.argmin(sizes))] += deficit
-        sizes[int(np.argmax(sizes))] -= deficit
-    return tuple(int(s) for s in sizes)
+        deficit = 1 - smallest
+        sizes[sizes.index(smallest)] += deficit
+        sizes[sizes.index(max(sizes))] -= deficit
+    return tuple(sizes)
 
 
 class SessionPlanner:

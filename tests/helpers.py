@@ -23,7 +23,10 @@ path replaced, kept as the definitions it is tested against:
 :func:`sort_by_time` (the access-log merge order) and
 :func:`observe_record` (the per-record telemetry fold).  The analysis
 path's are :class:`OracleDeviceFold` (row-wise ``np.unique`` device
-dedup), :class:`PerFileEmissionGenerator` (per-file chunk emission) and
+dedup), :class:`RowEmissionGenerator` (one row tuple per request, the
+emitter the column runs replaced) and its per-file variant
+:class:`PerFileEmissionGenerator`, :func:`spread_file_sizes_numpy` (the
+array version of the per-session size spread) and
 :func:`summarize_per_record` (the per-record summary fold).  The live
 path's attempts run their earlier way inside :func:`reference_attempts`
 (closure/keyword attempts, unmemoized placement, scalar fault draws,
@@ -47,6 +50,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 from typing import Iterable
@@ -88,9 +92,10 @@ from repro.tcpsim.devices import Lognormal, profile_for
 from repro.tcpsim.rto import paper_rto_estimate
 from repro.workload import GeneratorOptions
 from repro.workload.config import DeviceGroup
-from repro.workload.generator import TraceGenerator
+from repro.workload.diurnal import SECONDS_PER_DAY
+from repro.workload.generator import SESSION_ID_STRIDE, TraceGenerator, user_rng
 from repro.workload.parallel import generate_columnar_sharded
-from repro.workload.sampling import pow10_normals, uniform
+from repro.workload.sampling import pow10_normals
 
 
 def canonical_lines(records: Iterable[LogRecord]) -> list[str]:
@@ -742,18 +747,182 @@ class OracleDeviceFold:
         return {"device_group_code": group_code, "mobile_count": mobile_count}
 
 
-class PerFileEmissionGenerator(TraceGenerator):
+def uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``rng.uniform(low, high)`` as ``low + (high - low) * rng.random()``."""
+    return low + (high - low) * rng.random()
+
+
+def spread_file_sizes_numpy(
+    average: int, n_files: int, rng: np.random.Generator, spread_sigma: float = 0.4
+) -> tuple[int, ...]:
+    """The array version of :func:`repro.workload.sessions.spread_file_sizes`."""
+    if n_files < 1:
+        raise ValueError("n_files must be >= 1")
+    if average < n_files:
+        raise ValueError("average size must be at least one byte per file")
+    if n_files == 1:
+        return (average,)
+    jitter = rng.lognormal(0.0, spread_sigma, size=n_files)
+    jitter /= jitter.mean()
+    sizes = np.maximum(1, np.round(jitter * average)).astype(np.int64)
+    drift = int(average) * n_files - int(sizes.sum())
+    sizes[int(np.argmax(sizes))] += drift
+    if sizes.min() < 1:
+        deficit = 1 - int(sizes.min())
+        sizes[int(np.argmin(sizes))] += deficit
+        sizes[int(np.argmax(sizes))] -= deficit
+    return tuple(int(s) for s in sizes)
+
+
+_by_timestamp = operator.itemgetter(0)
+
+
+class RowEmissionGenerator(TraceGenerator):
+    """The generator emitting one 13-field row tuple per request.
+
+    The definition the column-run emitter
+    (:meth:`TraceGenerator._emit_user`) is tested against:
+    :meth:`generate_user_rows` returns one user's rows in
+    :class:`LogRecord` field order, enum fields as their code-table
+    indices, time-sorted by one stable sort; ``ColumnarTrace.from_rows``
+    of consecutive users' rows is the trace the emitter's batches must
+    equal.  Per session it recomputes the link constants, and per file it
+    draws the queueing jitter with ``rng.random()``.
+    """
+
+    def generate_user_rows(self, user) -> list:
+        rng = user_rng(self.seed, user.user_id)
+        rows: list = []
+        plans = self._plan_days(user, user.store_files, user.retrieve_files, rng)
+        used_platforms: set[bool] = set()
+        session_index = 0
+        for day, day_plans in plans:
+            n_plans = len(day_plans)
+            gap_hi = min(4.5, max(2.0, 14.0 / max(1, n_plans - 1)))
+            base = self._diurnal.sample_timestamp(day, rng)
+            latest_start = (
+                (day + 1) * SECONDS_PER_DAY
+                - (n_plans - 1) * gap_hi * 3600.0
+                - 1800.0
+            )
+            base = max(day * SECONDS_PER_DAY, min(base, latest_start))
+            for plan in day_plans:
+                device = self._pick_device(
+                    user, plan, rng, session_index, used_platforms
+                )
+                used_platforms.add(device.device_type is DeviceType.PC)
+                session_index += 1
+                session_id = user.user_id * SESSION_ID_STRIDE + session_index
+                self._emit_session_rows(
+                    rows, user, device.device_id, device.device_type, plan,
+                    base, session_id, rng,
+                )
+                base += uniform(rng, 0.5 * gap_hi, gap_hi) * 3600.0
+        rows.sort(key=_by_timestamp)
+        return rows
+
+    def _emit_session_rows(
+        self, rows, user, device_id, device_type, plan, start, session_id, rng
+    ) -> None:
+        intervals = self.config.intervals
+        store_sizes = plan.store_sizes
+        retrieve_sizes = plan.retrieve_sizes
+        n_ops = len(store_sizes) + len(retrieve_sizes)
+        batch_mode = n_ops > intervals.batch_threshold or (
+            n_ops > 1 and rng.random() < intervals.p_batch_small
+        )
+        mean_log10, std_log10 = (
+            (intervals.batch_mean_log10, intervals.batch_std_log10)
+            if batch_mode
+            else (intervals.within_mean_log10, intervals.within_std_log10)
+        )
+        op_times = [start]
+        for gap in pow10_normals(rng, mean_log10, std_log10, n_ops - 1):
+            op_times.append(op_times[-1] + gap)
+        device_code = DEVICE_CODE[device_type]
+        user_id = user.user_id
+        rtt = user.rtt
+        proxied = user.proxied
+        tsrv_meta = float(self._server.tsrv.sample(rng)) * 0.2
+        op_codes = [STORE_CODE] * len(store_sizes) + [RETRIEVE_CODE] * len(
+            retrieve_sizes
+        )
+        for when, direction_code in zip(op_times, op_codes):
+            rows.append((
+                when, device_code, device_id, user_id, FILE_OP_CODE,
+                direction_code, 0, tsrv_meta, tsrv_meta, rtt, proxied,
+                OK_CODE, session_id,
+            ))
+        if not n_ops or not self.options.emit_chunks or user.dedup_only:
+            return
+        max_chunks = self.options.max_chunks_per_file
+        profile = profile_for(device_type)
+        rto = paper_rto_estimate(rtt)
+        restart_penalty = self._transfer.restart_penalty_rtts * rtt
+        tsrv_mu, tsrv_sigma = self._server.tsrv.mu, self._server.tsrv.sigma
+        op_index = 0
+        transfer_clock = 0.0
+        for direction, sizes in (
+            (Direction.STORE, store_sizes),
+            (Direction.RETRIEVE, retrieve_sizes),
+        ):
+            if not sizes:
+                continue
+            is_store = direction is Direction.STORE
+            direction_code = STORE_CODE if is_store else RETRIEVE_CODE
+            bandwidth = user.bandwidth * (
+                1.0 if is_store else self.config.network.downlink_factor
+            )
+            rate = self._transfer.rate(rtt, bandwidth, direction)
+            tclt = profile.tclt(is_store)
+            tclt_mu, tclt_sigma = tclt.mu, tclt.sigma
+            for size in sizes:
+                clock = max(
+                    op_times[op_index] + uniform(rng, 0.05, 0.3), transfer_clock
+                )
+                op_index += 1
+                n_records = min(
+                    max(1, math.ceil(size / CHUNK_SIZE)), max_chunks
+                )
+                base_volume, remainder = divmod(size, n_records)
+                z = rng.standard_normal(2 * n_records).tolist()
+                idle = 0.0
+                for index in range(n_records):
+                    volume = base_volume + 1 if index < remainder else base_volume
+                    tsrv = math.exp(tsrv_mu + tsrv_sigma * z[2 * index])
+                    ttran = volume / rate
+                    if idle > rto:
+                        ttran += restart_penalty
+                    tchunk = ttran + tsrv
+                    rows.append((
+                        clock, device_code, device_id, user_id, CHUNK_CODE,
+                        direction_code, volume, tchunk, tsrv, rtt, proxied,
+                        OK_CODE, session_id,
+                    ))
+                    tclt = math.exp(tclt_mu + tclt_sigma * z[2 * index + 1])
+                    clock += tchunk + tclt
+                    idle = tsrv + tclt
+                transfer_clock = clock
+
+
+def oracle_columns(generator: RowEmissionGenerator, users) -> ColumnarTrace:
+    """``ColumnarTrace.from_rows`` of the users' oracle rows, in order."""
+    return ColumnarTrace.from_rows(
+        row for user in users for row in generator.generate_user_rows(user)
+    )
+
+
+class PerFileEmissionGenerator(RowEmissionGenerator):
     """The generator emitting each file's chunks in a method of its own.
 
-    The definition the one-loop :meth:`TraceGenerator._emit_session` is
-    tested against: per file, ``_emit_chunks`` draws the chunks' Tsrv/Tclt
-    through :func:`lognormal_pairs`, prices each
-    chunk with :meth:`TransferModel.transfer_time` and recomputes the RTO
-    and bandwidth; each session's rows are sorted before they join the
+    A second definition of the emitter's rows: per file, ``_emit_chunks``
+    draws the chunks' Tsrv/Tclt through :func:`lognormal_pairs`, prices
+    each chunk with :meth:`TransferModel.transfer_time` and recomputes the
+    RTO and bandwidth; each session's rows are sorted before they join the
     user's.
     """
 
-    def _emit_session(
+    def _emit_session_rows(
         self, rows, user, device_id, device_type, plan, start, session_id, rng
     ) -> None:
         intervals = self.config.intervals

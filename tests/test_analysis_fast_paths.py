@@ -5,8 +5,9 @@
   ``np.unique(axis=0)`` fold (:class:`tests.helpers.OracleDeviceFold`),
   and :func:`devices_by_user_columnar`'s overflow fallback against the
   record path;
-* the generator's one-loop session emission against the per-file
-  emission (:class:`tests.helpers.PerFileEmissionGenerator`), row for row;
+* the generator's column-run emission against the per-file row
+  emission (:class:`tests.helpers.PerFileEmissionGenerator`), column for
+  column and bit for bit;
 * :meth:`TransferModel.rate`, which the generator prices chunks with,
   against :meth:`TransferModel.transfer_time`;
 * the one-loop :func:`summarize` against the per-record fold
@@ -39,6 +40,7 @@ from tests.helpers import (
     PerFileEmissionGenerator,
     summarize_per_record,
 )
+from tests.test_generator_rows import assert_same_columns
 from tests.test_logs_columnar import valid_record
 
 # ----------------------------------------------------------------------
@@ -217,10 +219,11 @@ def test_one_loop_emission_matches_per_file_emission(seed, options):
     assert any(not user.mobile_devices for user in users)
     assert any(user.dedup_only for user in users)
     for user in users:
-        got = generator.generate_user_rows(user)
-        want = oracle.generate_user_rows(user)
-        # repr tells -0.0 from 0.0 and compares every float to the bit.
-        assert repr(got) == repr(want), user.user_id
+        # Byte images tell -0.0 from 0.0 and compare every float to the bit.
+        (got,) = generator.column_batches([user], 1)
+        assert_same_columns(
+            got, ColumnarTrace.from_rows(oracle.generate_user_rows(user))
+        )
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ chunk loop is compared with), must return bit-identical values and leave
 ``rng.bit_generator.state`` exactly where the scalar
 :class:`numpy.random.Generator` calls would.  The golden trace fixtures
 catch a drift only as a moved digest; these tests name the NumPy
-definition that stopped holding.
+definition that stopped holding.  The Python-float
+:func:`repro.workload.sessions.spread_file_sizes` is held to its array
+version (:func:`tests.helpers.spread_file_sizes_numpy`) and
+:func:`repro.workload.sampling.pairwise_sum` to ``np.add.reduce``.
 """
 
 import math
@@ -19,8 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tcpsim.devices import Lognormal
-from repro.workload.sampling import categorical, pow10_normals, uniform
-from tests.helpers import lognormal_pairs
+from repro.workload.sampling import (
+    categorical,
+    pairwise_sum,
+    pow10_normals,
+    raw_uniform,
+)
+from repro.workload.sessions import spread_file_sizes
+from tests.helpers import lognormal_pairs, spread_file_sizes_numpy, uniform
 
 seeds = st.integers(0, 2**32 - 1)
 finite = st.floats(-5.0, 5.0, allow_nan=False)
@@ -113,6 +122,50 @@ def test_uniform_matches_scalar_uniform(seed, low, width, n):
     expected = [float(scalar.uniform(low, high)) for _ in range(n)]
     assert bits(uniform(batched, low, high) for _ in range(n)) == bits(expected)
     assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@given(
+    seed=seeds,
+    low=st.floats(-1e6, 1e6, allow_nan=False),
+    width=st.floats(0.0, 1e6, allow_nan=False),
+    n=st.integers(1, 20),
+)
+@settings(max_examples=200)
+def test_raw_uniform_matches_scalar_uniform(seed, low, width, n):
+    high = low + width
+    scalar, raw = twin(seed)
+    expected = [float(scalar.uniform(low, high)) for _ in range(n)]
+    random_raw = raw.bit_generator.random_raw
+    assert bits(raw_uniform(random_raw, low, high) for _ in range(n)) == bits(
+        expected
+    )
+    assert raw.bit_generator.state == scalar.bit_generator.state
+
+
+@given(seed=seeds, steps=st.lists(st.integers(0, 3), max_size=60))
+@settings(max_examples=200)
+def test_raw_uniform_interleaved_with_other_draws(seed, steps):
+    """Mixed with normals, integers and exponentials -- whose samplers
+    may take more than one word, or a buffered half-word -- the raw-bit
+    uniform leaves the stream where ``uniform`` does."""
+    scalar, raw = twin(seed)
+    random_raw = raw.bit_generator.random_raw
+    expected, got = [], []
+    for step in steps:
+        if step == 0:
+            expected.append(float(scalar.uniform(0.05, 0.3)))
+            got.append(raw_uniform(random_raw, 0.05, 0.3))
+        elif step == 1:
+            expected.append(float(scalar.standard_normal()))
+            got.append(float(raw.standard_normal()))
+        elif step == 2:
+            expected.append(float(scalar.integers(0, 7, dtype=np.int32)))
+            got.append(float(raw.integers(0, 7, dtype=np.int32)))
+        else:
+            expected.append(float(scalar.exponential(2.5)))
+            got.append(float(raw.exponential(2.5)))
+        assert raw.bit_generator.state == scalar.bit_generator.state
+    assert bits(got) == bits(expected)
 
 
 @given(seed=seeds, n=st.integers(1, 20))
@@ -223,3 +276,85 @@ def test_categorical_rejects_what_choice_rejects(p):
     # A rejected p consumes nothing, on either side.
     assert cached.bit_generator.state == scalar.bit_generator.state
     assert cached.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# Pairwise sums and the per-session size spread
+# ----------------------------------------------------------------------
+
+sum_values = st.lists(
+    st.floats(0.0, 1e12, allow_nan=False)
+    | st.floats(-1e6, 1e6, allow_nan=False)
+    | st.sampled_from([0.0, -0.0, 1e-300, 1.0, 3.0]),
+    max_size=600,
+)
+
+
+@given(values=sum_values)
+@settings(max_examples=300)
+def test_pairwise_sum_matches_add_reduce(values):
+    expected = np.add.reduce(np.asarray(values, dtype=np.float64))
+    assert bits([pairwise_sum(values)]) == bits([expected])
+
+
+@given(seed=seeds, n=st.integers(1, 1200), sigma=st.floats(0.0, 4.0))
+@settings(max_examples=200)
+def test_pairwise_sum_matches_ndarray_sum_of_lognormals(seed, n, sigma):
+    values = np.random.default_rng(seed).lognormal(0.0, sigma, size=n)
+    assert bits([pairwise_sum(values.tolist())]) == bits([values.sum()])
+    assert bits([pairwise_sum(values.tolist()) / n]) == bits([values.mean()])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1199])
+def test_pairwise_sum_block_boundaries(n):
+    values = np.random.default_rng(n).lognormal(0.0, 3.0, size=n)
+    assert bits([pairwise_sum(values.tolist())]) == bits([np.add.reduce(values)])
+    zeros = [-0.0] * n
+    assert bits([pairwise_sum(zeros)]) == bits([np.add.reduce(np.asarray(zeros))])
+
+
+@given(
+    seed=seeds,
+    n=st.integers(1, 1200),
+    slack=st.integers(0, 3) | st.integers(0, 10**9),
+    sigma=st.sampled_from([0.0, 0.4, 1.5, 4.0]),
+)
+@settings(max_examples=300)
+def test_spread_file_sizes_matches_array_version(seed, n, slack, sigma):
+    """``average`` at or just above ``n`` clamps sizes to one byte and
+    drifts the total, which the largest size absorbs."""
+    scalar, ours = twin(seed)
+    expected = spread_file_sizes_numpy(n + slack, n, scalar, sigma)
+    got = spread_file_sizes(n + slack, n, ours, sigma)
+    assert got == expected
+    assert all(type(size) is int for size in got)
+    assert sum(got) == (n + slack) * n
+    assert ours.bit_generator.state == scalar.bit_generator.state
+
+
+def test_spread_file_sizes_drift_matches_array_version():
+    """At ``average == n`` most sizes clamp to one byte, so the drift is
+    negative and lands on the largest size.  (It cannot push that size
+    below one byte: the largest size is at least ``average`` and every
+    size exceeds its share by less than one, so the min correction is a
+    guard both versions keep.)"""
+    drifted = 0
+    for seed in range(300):
+        n = 2 + seed % 60
+        scalar, ours = twin(seed)
+        expected = spread_file_sizes_numpy(n, n, scalar, 4.0)
+        jitter = np.random.default_rng(seed).lognormal(0.0, 4.0, size=n)
+        rounded = np.maximum(1, np.round(jitter / jitter.mean() * n))
+        drifted += int(rounded.sum() != n * n)
+        assert spread_file_sizes(n, n, ours, 4.0) == expected
+        assert ours.bit_generator.state == scalar.bit_generator.state
+    assert drifted > 100
+
+
+@pytest.mark.parametrize(("average", "n"), [(100, 0), (2, 10), (5, -1)])
+def test_spread_file_sizes_raises_like_array_version(average, n):
+    with pytest.raises(ValueError) as expected:
+        spread_file_sizes_numpy(average, n, np.random.default_rng(0))
+    with pytest.raises(ValueError) as got:
+        spread_file_sizes(average, n, np.random.default_rng(0))
+    assert str(got.value) == str(expected.value)
